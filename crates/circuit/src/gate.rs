@@ -296,6 +296,67 @@ impl GateKind {
             _ => Vec::new(),
         }
     }
+
+    /// The `(parameter count, arity)` of the gate kind named `name` (see
+    /// [`GateKind::name`]), or `None` for an unknown name — what a wire
+    /// codec checks a `[name, params…, qubits…]` cell list against.
+    pub fn shape(name: &str) -> Option<(usize, usize)> {
+        Some(match name {
+            "id" | "x" | "y" | "z" | "h" | "s" | "sdg" | "t" | "tdg" | "sx" | "sy" | "sw" => (0, 1),
+            "rx" | "ry" | "rz" | "p" => (1, 1),
+            "u3" => (3, 1),
+            "u1q" => (8, 1),
+            "cx" | "cz" | "swap" => (0, 2),
+            "cp" | "rzz" => (1, 2),
+            "fsim" => (2, 2),
+            "u2q" => (32, 2),
+            "ccx" => (0, 3),
+            _ => return None,
+        })
+    }
+
+    /// Rebuild a gate kind from its [`GateKind::name`] and
+    /// [`GateKind::params`] — the inverse the wire codecs decode with.
+    /// `None` for an unknown name or a parameter count that does not match
+    /// [`GateKind::shape`].
+    pub fn from_name(name: &str, params: &[f64]) -> Option<GateKind> {
+        use GateKind::*;
+        if Self::shape(name)?.0 != params.len() {
+            return None;
+        }
+        let entry = |i: usize| c64(params[2 * i], params[2 * i + 1]);
+        Some(match name {
+            "id" => Id,
+            "x" => X,
+            "y" => Y,
+            "z" => Z,
+            "h" => H,
+            "s" => S,
+            "sdg" => Sdg,
+            "t" => T,
+            "tdg" => Tdg,
+            "sx" => Sx,
+            "sy" => Sy,
+            "sw" => Sw,
+            "rx" => Rx(params[0]),
+            "ry" => Ry(params[0]),
+            "rz" => Rz(params[0]),
+            "p" => Phase(params[0]),
+            "u3" => U3(params[0], params[1], params[2]),
+            "u1q" => Unitary1(Mat2([[entry(0), entry(1)], [entry(2), entry(3)]])),
+            "cx" => Cx,
+            "cz" => Cz,
+            "swap" => Swap,
+            "cp" => CPhase(params[0]),
+            "rzz" => Rzz(params[0]),
+            "fsim" => FSim(params[0], params[1]),
+            "u2q" => Unitary2(Mat4(std::array::from_fn(|r| {
+                std::array::from_fn(|c| entry(4 * r + c))
+            }))),
+            "ccx" => Ccx,
+            _ => return None,
+        })
+    }
 }
 
 impl fmt::Display for GateKind {
@@ -454,6 +515,30 @@ impl std::error::Error for GateError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn from_name_inverts_name_and_params() {
+        use GateKind::*;
+        let kinds = [
+            Id,
+            Sw,
+            Rz(0.123_456_789),
+            U3(0.1, -2.5, 3.75),
+            Unitary1(Sw.matrix1().unwrap()),
+            Cx,
+            CPhase(-0.4),
+            FSim(0.777, -1.3),
+            Unitary2(FSim(0.777, -1.3).matrix2().unwrap()),
+            Ccx,
+        ];
+        for k in kinds {
+            let (n_params, arity) = GateKind::shape(k.name()).unwrap();
+            assert_eq!((n_params, arity), (k.params().len(), k.arity()), "{k:?}");
+            assert_eq!(GateKind::from_name(k.name(), &k.params()), Some(k));
+        }
+        assert_eq!(GateKind::from_name("cx", &[0.5]), None, "wrong param count");
+        assert_eq!(GateKind::from_name("nope", &[]), None);
+    }
 
     #[test]
     fn all_fixed_single_qubit_matrices_are_unitary() {

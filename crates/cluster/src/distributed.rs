@@ -1,30 +1,39 @@
-//! The distributed state vector: qHiPSTER-style node slices.
+//! The distributed state vector: qHiPSTER-style node slices over any
+//! [`Transport`].
 //!
 //! The full `2^n` amplitude array is split across `2^g` nodes; node `i`
 //! holds the contiguous slice of global indices `i·2^{n−g} .. (i+1)·2^{n−g}`,
 //! i.e. the **top `g` qubits select the node**. Gates on local (low) qubits
-//! run embarrassingly parallel, one thread per node; gates touching a global
-//! qubit are handled the way real distributed simulators do it — a
-//! *distributed swap* brings the global qubit down to a scratch local qubit
-//! (one pairwise half-slice exchange each way), the gate runs locally, and
-//! the swap is undone. Every exchange is counted and priced by the
-//! [`InterconnectModel`].
+//! run on every node at once; gates touching a global qubit are handled
+//! the way real distributed simulators do it — a *distributed swap* brings
+//! the global qubit down to a scratch local qubit (one pairwise half-slice
+//! exchange), the gate runs locally, and the swap is undone (eagerly, or
+//! lazily under exchange batching). Every exchange is counted and priced
+//! by the [`InterconnectModel`].
+//!
+//! [`Distributed`] owns every decision — the [`LayoutTracker`], the
+//! counters, the pricing and the rank-ordered floating-point folds — and
+//! holds the only distributed [`QuantumState`] and [`PooledBackend`]
+//! implementations. The transport only moves and updates slices, through
+//! the shared [`crate::slices`] functions, so the in-process and the
+//! multi-process backends agree bit for bit by construction.
 
 use crate::layout::{DensePlan, LayoutTracker};
 use crate::model::{ClusterCounters, InterconnectModel};
+use crate::slices::Cursor;
+use crate::transport::{InProcess, Link, LinkMut, Spawn, Transport};
 use std::fmt;
+use std::io;
 use std::sync::Arc;
 use std::time::Instant;
-use tqsim_obs::{Counter, Registry};
-
-/// Below this per-node slice length, node work runs on the calling thread —
-/// the semantics are identical and thread-spawn overhead would dominate.
-const THREAD_MIN_SLICE: usize = 1 << 12;
-use tqsim_circuit::math::{c64, Mat16, Mat2, Mat32, Mat4, Mat8, C64};
+use tqsim_circuit::math::{Mat16, Mat2, Mat32, Mat4, Mat8, C64};
 use tqsim_circuit::Gate;
-use tqsim_statevec::{kernels, DiagRun, PooledBackend, QuantumState, StateVector};
+use tqsim_obs::{Counter, Registry};
+use tqsim_statevec::{
+    apply_window, window_span, DiagRun, FusedOp, PooledBackend, QuantumState, StateVector,
+};
 
-/// Error constructing a [`DistributedStateVector`].
+/// Error constructing a distributed state.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ClusterError {
     /// Node count must be a power of two ≥ 1.
@@ -56,9 +65,9 @@ impl fmt::Display for ClusterError {
 impl std::error::Error for ClusterError {}
 
 /// Live observability counters for distributed execution, shared by every
-/// state an observed [`ClusterBackend`] allocates. Unlike the per-state
-/// [`ClusterCounters`] (which travel with each [`DistributedStateVector`]
-/// and merge into run results), these are global monotonic totals held in a
+/// state an observed [`DistributedBackend`] allocates. Unlike the
+/// per-state [`ClusterCounters`] (which travel with each state and merge
+/// into run results), these are global monotonic totals held in a
 /// [`tqsim_obs::Registry`] — a monitoring view across all runs.
 #[derive(Debug)]
 pub struct ClusterObs {
@@ -108,12 +117,46 @@ impl ClusterObs {
     }
 }
 
-/// A pure state distributed over `2^g` simulated nodes.
-pub struct DistributedStateVector {
+/// The single source of truth for the slicing invariant: `n_nodes` must
+/// be a power of two ≥ 1 and at least 3 qubits must stay node-local.
+/// Every constructor, [`DistributedBackend::validate`] and the runner's
+/// pre-checks delegate here, so the rule cannot drift.
+pub fn check_layout(n_qubits: u16, n_nodes: usize) -> Result<(), ClusterError> {
+    if n_nodes == 0 || !n_nodes.is_power_of_two() {
+        return Err(ClusterError::BadNodeCount(n_nodes));
+    }
+    if n_qubits < n_nodes.trailing_zeros() as u16 + 3 {
+        return Err(ClusterError::TooFewLocalQubits { n_qubits, n_nodes });
+    }
+    Ok(())
+}
+
+/// The `plan.boundary` failpoint of the cross-boundary fused seams — the
+/// same site the single-node seams and `apply_window` hit, so chaos suites
+/// exercise every backend with one name.
+fn boundary_failpoint() {
+    if tqsim_faults::any_armed() {
+        if let Err(e) = tqsim_faults::trigger("plan.boundary") {
+            std::panic::panic_any(e);
+        }
+    }
+}
+
+/// Panic on an injected fault at `site`: the state API has no error
+/// channel, and the engine's per-task `catch_unwind` contains the panic
+/// to the running job.
+fn failpoint(site: &str) {
+    if let Err(fault) = tqsim_faults::trigger(site) {
+        panic!("{fault}");
+    }
+}
+
+/// A pure state distributed over `2^g` nodes of a [`Transport`].
+pub struct Distributed<T: Transport> {
+    transport: T,
     n_qubits: u16,
-    g: u16,
     local_n: u16,
-    slices: Vec<Vec<C64>>,
+    n_nodes: usize,
     model: InterconnectModel,
     /// Operation counters, including modeled cluster time.
     pub counters: ClusterCounters,
@@ -125,7 +168,11 @@ pub struct DistributedStateVector {
     layout: LayoutTracker,
 }
 
-impl DistributedStateVector {
+/// The in-process distributed state: node slices in this process, node
+/// work on one thread per node.
+pub type DistributedStateVector = Distributed<InProcess>;
+
+impl Distributed<InProcess> {
     /// `|0…0⟩` over `n_nodes` nodes.
     ///
     /// # Errors
@@ -137,17 +184,50 @@ impl DistributedStateVector {
         n_nodes: usize,
         model: InterconnectModel,
     ) -> Result<Self, ClusterError> {
+        Self::on(&n_nodes, n_qubits, model)
+    }
+}
+
+impl<T: Spawn> Distributed<T> {
+    /// `|0…0⟩` across the nodes of a launched `group`.
+    ///
+    /// # Errors
+    ///
+    /// [`ClusterError`] unless the group size is a power of two with at
+    /// least 3 qubits node-local.
+    ///
+    /// # Panics
+    ///
+    /// On transport faults.
+    pub fn zero(
+        group: T::Group,
+        n_qubits: u16,
+        model: InterconnectModel,
+    ) -> Result<Self, ClusterError> {
+        Self::on(&group, n_qubits, model)
+    }
+}
+
+impl<T: Transport> Distributed<T> {
+    /// `|0…0⟩` over the nodes of `group`.
+    ///
+    /// # Errors
+    ///
+    /// [`ClusterError`] unless the node count is a power of two and at
+    /// least 3 qubits remain node-local.
+    pub fn on(
+        group: &T::Group,
+        n_qubits: u16,
+        model: InterconnectModel,
+    ) -> Result<Self, ClusterError> {
+        let n_nodes = T::group_nodes(group);
         check_layout(n_qubits, n_nodes)?;
-        let g = n_nodes.trailing_zeros() as u16;
-        let local_n = n_qubits - g;
-        let slice_len = 1usize << local_n;
-        let mut slices = vec![vec![c64(0.0, 0.0); slice_len]; n_nodes];
-        slices[0][0] = c64(1.0, 0.0);
-        Ok(DistributedStateVector {
+        let local_n = n_qubits - n_nodes.trailing_zeros() as u16;
+        Ok(Distributed {
+            transport: T::alloc(group, 1usize << local_n),
             n_qubits,
-            g,
             local_n,
-            slices,
+            n_nodes,
             model,
             counters: ClusterCounters::default(),
             obs: None,
@@ -156,27 +236,9 @@ impl DistributedStateVector {
         })
     }
 
-    /// Scatter an existing single-node state across the cluster.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DistributedStateVector::zero`].
-    pub fn from_statevector(
-        sv: &StateVector,
-        n_nodes: usize,
-        model: InterconnectModel,
-    ) -> Result<Self, ClusterError> {
-        let mut dsv = Self::zero(sv.n_qubits(), n_nodes, model)?;
-        let slice_len = dsv.slice_len();
-        for (i, slice) in dsv.slices.iter_mut().enumerate() {
-            slice.copy_from_slice(&sv.amplitudes()[i * slice_len..(i + 1) * slice_len]);
-        }
-        Ok(dsv)
-    }
-
     /// Number of nodes.
     pub fn n_nodes(&self) -> usize {
-        self.slices.len()
+        self.n_nodes
     }
 
     /// Mirror this state's communication and gate activity into `obs` (in
@@ -213,31 +275,28 @@ impl DistributedStateVector {
 
     /// Total amplitude bytes across the node group (`2^n · 16`).
     pub fn bytes(&self) -> usize {
-        self.slice_len() * self.n_nodes() * std::mem::size_of::<C64>()
-    }
-
-    /// Qubits that are node-local (the low `n − g`).
-    pub fn local_qubits(&self) -> u16 {
-        self.local_n
+        self.slice_len() * self.n_nodes * std::mem::size_of::<C64>()
     }
 
     /// Gather the full state onto "one node" (for verification / sampling
     /// at small scale).
+    ///
+    /// # Panics
+    ///
+    /// On transport faults.
     pub fn gather(&self) -> StateVector {
         debug_assert!(self.layout.is_canonical(), "gather on deferred layout");
         let mut amps = Vec::with_capacity(1usize << self.n_qubits);
-        for slice in &self.slices {
-            amps.extend_from_slice(slice);
+        let mut link = self.transport.link();
+        for rank in 0..self.n_nodes {
+            link.fetch(rank, &mut amps);
         }
         StateVector::from_amplitudes(amps)
     }
 
-    /// Squared 2-norm across all nodes.
+    /// Squared 2-norm: per-node partial sums folded in node order.
     pub fn norm_sqr(&self) -> f64 {
-        self.slices
-            .iter()
-            .map(|s| s.iter().map(|a| a.norm_sqr()).sum::<f64>())
-            .sum()
+        norm(&mut self.transport.link(), self.n_nodes)
     }
 
     /// Reset to `|0…0⟩` (counted as one compute pass; counters otherwise
@@ -246,10 +305,7 @@ impl DistributedStateVector {
         // The amplitudes are overwritten wholesale: deferred swaps are
         // forgotten, not undone.
         self.layout.reset();
-        for slice in &mut self.slices {
-            slice.fill(c64(0.0, 0.0));
-        }
-        self.slices[0][0] = c64(1.0, 0.0);
+        self.transport.link_mut().reset();
         self.charge_compute_pass();
     }
 
@@ -258,23 +314,50 @@ impl DistributedStateVector {
     ///
     /// # Panics
     ///
-    /// Panics if layouts differ.
-    pub fn copy_from(&mut self, src: &DistributedStateVector) {
-        assert_eq!(self.n_qubits, src.n_qubits, "width mismatch");
-        assert_eq!(self.n_nodes(), src.n_nodes(), "node-count mismatch");
-        // Failpoint modelling a node failing mid-copy. No error channel
-        // through the state API, so an injected error panics; the engine's
-        // per-task `catch_unwind` contains it to the running job.
-        if let Err(fault) = tqsim_faults::trigger("cluster.state_copy") {
-            panic!("{fault}");
+    /// Panics if layouts differ, on transport faults, or on an injected
+    /// `cluster.state_copy` fault.
+    pub fn copy_from(&mut self, src: &Self) {
+        self.copy_apply(src, &[]);
+    }
+
+    /// Overwrite with `src`'s amplitudes **and** apply the child plan's
+    /// head window in the same node visit (cross-boundary fusion).
+    /// Counter-for-counter identical to [`Distributed::copy_from`]
+    /// followed by applying the window op by op.
+    ///
+    /// Falls back to exactly that sequence when the window touches a
+    /// node-selecting qubit (dswaps cannot ride a copy).
+    ///
+    /// # Panics
+    ///
+    /// Panics if layouts differ, on transport faults, or on injected
+    /// `cluster.state_copy` / `plan.boundary` faults.
+    pub fn copy_from_apply(&mut self, src: &Self, head: &[FusedOp]) {
+        if head.is_empty() || !self.window_is_local(head) {
+            self.copy_from(src);
+            if !head.is_empty() {
+                // `apply_window` hits the plan.boundary failpoint itself, so
+                // both paths trigger it exactly once per fused copy.
+                apply_window(self, head);
+            }
+            return;
         }
+        boundary_failpoint();
+        self.copy_apply(src, head);
+        self.charge_window(head);
+    }
+
+    /// The copy both seams share: `state_copy` failpoint, slice copy with
+    /// `head` riding along, one state copy and one compute pass.
+    fn copy_apply(&mut self, src: &Self, head: &[FusedOp]) {
+        assert_eq!(self.n_qubits, src.n_qubits, "width mismatch");
+        assert_eq!(self.n_nodes, src.n_nodes, "node-count mismatch");
+        failpoint("cluster.state_copy");
         // Sources are always post-replay states in canonical layout; the
         // destination's own deferred swaps (if any) are overwritten.
         debug_assert!(src.layout.is_canonical(), "copy from non-canonical state");
         self.layout.reset();
-        for (dst, s) in self.slices.iter_mut().zip(src.slices.iter()) {
-            dst.copy_from_slice(s);
-        }
+        self.transport.copy_apply(&src.transport, head);
         self.counters.state_copies += 1;
         if let Some(obs) = &self.obs {
             obs.state_copies.inc();
@@ -284,19 +367,18 @@ impl DistributedStateVector {
 
     /// Sample one outcome given a uniform draw, walking the cumulative
     /// distribution amplitude by amplitude in global index order — the
-    /// **same accumulation order** as [`StateVector::sample_with`] and both
-    /// backends' `sample_many`, so a draw lands on the identical basis
-    /// state on every backend (floating-point addition is non-associative;
-    /// a per-node pre-summed walk would diverge on edge draws).
+    /// **same accumulation order** as [`StateVector::sample_with`], so a
+    /// draw lands on the identical basis state on every backend
+    /// (floating-point addition is non-associative; a per-node pre-summed
+    /// walk would diverge on edge draws).
     pub fn sample_with(&self, u: f64) -> u64 {
         debug_assert!(self.layout.is_canonical(), "sampling on deferred layout");
+        let mut link = self.transport.link();
         let mut acc = 0.0f64;
-        for (node, slice) in self.slices.iter().enumerate() {
-            for (i, a) in slice.iter().enumerate() {
-                acc += a.norm_sqr();
-                if u < acc {
-                    return ((node as u64) << self.local_n) | i as u64;
-                }
+        for rank in 0..self.n_nodes {
+            match link.pick(rank, u, acc) {
+                Ok(hit) => return hit,
+                Err(sum) => acc = sum,
             }
         }
         // Over-range draw on a slightly sub-normalised state: last basis
@@ -304,15 +386,8 @@ impl DistributedStateVector {
         (1u64 << self.n_qubits) - 1
     }
 
-    /// Sample one outcome with an RNG.
-    pub fn sample<R: rand::Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        let u: f64 = rand::RngExt::random(rng);
-        self.sample_with(u)
-    }
-
     /// Sample one outcome per uniform draw in `us`, walking the cumulative
-    /// distribution **once** across all node slices (vs one expected
-    /// half-walk per draw for repeated [`DistributedStateVector::sample_with`]).
+    /// distribution **once**, chained rank to rank.
     ///
     /// Mirrors [`StateVector::sample_many`] draw for draw — the draws are
     /// sorted internally, `out[i]` is the outcome for `us[i]` in original
@@ -321,32 +396,35 @@ impl DistributedStateVector {
     /// across backends.
     pub fn sample_many(&self, us: &[f64]) -> Vec<u64> {
         debug_assert!(self.layout.is_canonical(), "sampling on deferred layout");
-        let mut order: Vec<usize> = (0..us.len()).collect();
-        order.sort_by(|&i, &j| us[i].total_cmp(&us[j]));
-        let mut out = vec![0u64; us.len()];
         if us.is_empty() {
-            return out;
+            return Vec::new();
         }
-        let local_mask = self.slice_len() - 1;
-        let amp = |idx: usize| self.slices[idx >> self.local_n][idx & local_mask];
-        let total = 1usize << self.n_qubits;
-        let mut idx = 0usize;
-        let mut acc = amp(0).norm_sqr();
-        for &slot in &order {
-            // Mirror `sample_with`: smallest index with u < cdf(index),
-            // falling back to the last basis state for over-range draws.
-            while us[slot] >= acc && idx + 1 < total {
-                idx += 1;
-                acc += amp(idx).norm_sqr();
-            }
-            out[slot] = idx as u64;
+        let total = 1u64 << self.n_qubits;
+        let mut link = self.transport.link();
+        sorted_walk(us, self.n_nodes, |rank, pending, at| {
+            link.walk(rank, pending, at, total)
+        })
+        .0
+    }
+
+    /// Whether a fused window can run node-local at canonical positions:
+    /// every dense op (and passthrough gate) must sit below the node
+    /// boundary — diagonal runs read node bits and never disqualify.
+    fn window_is_local(&self, window: &[FusedOp]) -> bool {
+        window_span(window).is_none_or(|s| s < self.local_n)
+    }
+
+    /// Charge a window that rode a copy or a sampling walk exactly as
+    /// applying it op by op would have.
+    fn charge_window(&mut self, window: &[FusedOp]) {
+        for _ in window {
+            self.note_local_gate();
+            self.charge_compute_pass();
         }
-        out
     }
 
     /// Count one communication-free gate (per-state and, when observed,
     /// the registry total).
-    #[inline]
     fn note_local_gate(&mut self) {
         self.counters.local_gates += 1;
         if let Some(obs) = &self.obs {
@@ -355,7 +433,6 @@ impl DistributedStateVector {
     }
 
     /// Count one gate that needed a global→local remap.
-    #[inline]
     fn note_remapped_gate(&mut self) {
         self.counters.global_gates += 1;
         if let Some(obs) = &self.obs {
@@ -365,74 +442,22 @@ impl DistributedStateVector {
 
     fn charge_compute_pass(&mut self) {
         let slice_len = self.slice_len() as u64;
-        self.counters.amp_ops += slice_len * self.n_nodes() as u64;
+        self.counters.amp_ops += slice_len * self.n_nodes as u64;
         self.counters.simulated_seconds += self.model.compute_time(slice_len);
     }
 
-    /// Apply `op` to every node slice concurrently (one thread per node),
-    /// handing the closure its node index. The single serial/threaded
-    /// dispatch point for node-local sweeps.
-    fn each_node_indexed<F>(&mut self, op: F)
-    where
-        F: Fn(usize, &mut [C64]) + Sync,
-    {
-        if self.slice_len() < THREAD_MIN_SLICE {
-            for (node, slice) in self.slices.iter_mut().enumerate() {
-                op(node, slice);
-            }
-        } else {
-            std::thread::scope(|scope| {
-                for (node, slice) in self.slices.iter_mut().enumerate() {
-                    let op = &op;
-                    scope.spawn(move || op(node, slice));
-                }
-            });
-        }
+    /// Apply one op on every node and charge the compute pass.
+    fn apply_everywhere(&mut self, op: FusedOp) {
+        self.transport.link_mut().apply(std::slice::from_ref(&op));
         self.charge_compute_pass();
     }
 
-    /// Apply `op` to every node slice concurrently (one thread per node).
-    fn each_node<F>(&mut self, op: F)
-    where
-        F: Fn(&mut [C64]) + Sync,
-    {
-        self.each_node_indexed(|_, slice| op(slice));
-    }
-
-    /// Distributed swap of global bit `gb` (0-based within the top `g`)
-    /// with local qubit `lq`: pairwise half-slice exchange.
-    fn dswap(&mut self, gb: u16, lq: u16) {
-        debug_assert!(gb < self.g && lq < self.local_n);
-        // Failpoint modelling an interconnect fault (dropped exchange,
-        // slow link via the delay action). Converted to a panic for the
-        // same reason as `copy_from`.
-        if let Err(fault) = tqsim_faults::trigger("cluster.exchange") {
-            panic!("{fault}");
-        }
-        let start = Instant::now();
-        let step = 1usize << gb;
-        let sl = 1usize << lq;
-        if self.slice_len() < THREAD_MIN_SLICE {
-            for chunk in self.slices.chunks_mut(step * 2) {
-                let (lo, hi) = chunk.split_at_mut(step);
-                for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
-                    exchange_halves(a, b, sl);
-                }
-            }
-        } else {
-            std::thread::scope(|scope| {
-                for chunk in self.slices.chunks_mut(step * 2) {
-                    let (lo, hi) = chunk.split_at_mut(step);
-                    for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
-                        scope.spawn(move || exchange_halves(a, b, sl));
-                    }
-                }
-            });
-        }
+    /// Count and price one exchange round, timed from `start`, in which
+    /// every node sends `bytes_per_node`.
+    fn note_exchange(&mut self, bytes_per_node: u64, start: Instant) {
         let measured = start.elapsed().as_secs_f64();
-        let half_bytes = (self.slice_len() / 2 * 16) as u64;
-        let simulated = self.model.exchange_time(half_bytes);
-        let total_bytes = half_bytes * self.n_nodes() as u64;
+        let simulated = self.model.exchange_time(bytes_per_node);
+        let total_bytes = bytes_per_node * self.n_nodes as u64;
         self.counters.exchanges += 1;
         self.counters.bytes_exchanged += total_bytes;
         self.counters.simulated_seconds += simulated;
@@ -442,59 +467,33 @@ impl DistributedStateVector {
         }
     }
 
-    /// Distributed-swap every global qubit in `qubits` down to a scratch
-    /// local qubit. Returns the remapped (now all-local) qubit list and the
-    /// swap plan to undo with [`DistributedStateVector::undo_remap`].
-    fn remap_to_local(&mut self, qubits: &[u16]) -> (Vec<u16>, Vec<(u16, u16)>) {
-        let local_n = self.local_n;
-        let mut qubits = qubits.to_vec();
-        // Scratch = highest local qubits not used by the operation itself.
-        let mut scratch: Vec<u16> = (0..local_n)
-            .rev()
-            .filter(|q| !qubits.contains(q))
-            .take(qubits.len())
-            .collect();
-        let mut swaps: Vec<(u16, u16)> = Vec::new();
-        for q in qubits.iter_mut() {
-            if *q >= local_n {
-                let dst = scratch
-                    .pop()
-                    .expect("constructor guarantees >= 3 local qubits");
-                let gb = *q - local_n;
-                self.dswap(gb, dst);
-                swaps.push((gb, dst));
-                *q = dst;
-            }
-        }
-        (qubits, swaps)
+    /// Distributed swap of global bit `gb` (0-based within the top `g`)
+    /// with local qubit `lq`: pairwise half-slice exchange.
+    fn dswap(&mut self, gb: u16, lq: u16) {
+        debug_assert!(gb < self.n_qubits - self.local_n && lq < self.local_n);
+        // Failpoint modelling an interconnect fault (dropped exchange,
+        // slow link via the delay action).
+        failpoint("cluster.exchange");
+        let start = Instant::now();
+        self.transport.link_mut().dswap(gb, lq);
+        self.note_exchange((self.slice_len() / 2 * 16) as u64, start);
     }
 
-    /// Undo a [`DistributedStateVector::remap_to_local`] swap plan.
-    fn undo_remap(&mut self, swaps: &[(u16, u16)]) {
-        for &(gb, dst) in swaps.iter().rev() {
-            self.dswap(gb, dst);
-        }
-    }
-
-    /// Remap any global qubits of `gate` onto scratch local qubits, apply
-    /// locally, and restore. Returns the swap plan applied (for testing).
-    fn apply_gate_remapped(&mut self, gate: &Gate) -> usize {
-        let (qubits, swaps) = self.remap_to_local(gate.qubits());
-        let remapped = Gate::new(*gate.kind(), &qubits);
-        self.each_node(|slice| kernels::apply_gate_amps(slice, &remapped));
-        self.undo_remap(&swaps);
-        swaps.len()
-    }
-
-    /// Batched-mode dense dispatch: consult the [`LayoutTracker`], execute
-    /// whatever dswaps it mandates, and apply `f` at the physical operand
-    /// positions it returns. The kernels' per-amplitude arithmetic is
-    /// position-independent, so the result is bit-identical to the eager
-    /// remap path — only the exchange schedule differs.
-    fn apply_batched<F>(&mut self, qs: &[u16], f: F)
-    where
-        F: Fn(&mut [C64], &[u16]) + Sync,
-    {
+    /// Apply a dense op on logical operands `qs`: the [`LayoutTracker`]
+    /// decides which dswaps to run, `op` builds the op at the physical
+    /// positions it returns, and eager mode (batching off) undoes the
+    /// swaps straight away. Both modes issue the same individual dswaps
+    /// in the same order — batching only elides swap-back/swap-down pairs
+    /// between compatible ops — and the kernels' per-amplitude arithmetic
+    /// is position-independent, so the amplitudes are bit-identical.
+    fn apply_dense(&mut self, qs: &[u16], op: impl FnOnce(&[u16]) -> FusedOp) {
+        assert!(qs.iter().all(|&q| q < self.n_qubits), "qubit out of range");
+        assert!(
+            qs.len() <= usize::from(self.local_n),
+            "{k}-qubit fusion clusters need >= {k} node-local qubits \
+             (n_qubits >= log2(nodes) + {k}); lower max_fuse_qubits",
+            k = qs.len()
+        );
         let logically_local = qs.iter().all(|&q| q < self.local_n);
         let phys = match self.layout.decide_dense(qs) {
             DensePlan::InPlace { phys } => phys,
@@ -511,11 +510,14 @@ impl DistributedStateVector {
                 phys
             }
         };
-        self.each_node(|slice| f(slice, &phys));
+        self.apply_everywhere(op(&phys));
         if logically_local {
             self.note_local_gate();
         } else {
             self.note_remapped_gate();
+        }
+        if !self.batching {
+            self.flush_layout();
         }
     }
 
@@ -529,66 +531,331 @@ impl DistributedStateVector {
     }
 }
 
-/// The single source of truth for the slicing invariant: `n_nodes` must
-/// be a power of two ≥ 1 and at least 3 qubits must stay node-local.
-/// [`DistributedStateVector::zero`], [`ClusterBackend::validate`], the
-/// runner's pre-checks and the `tqsim-shard` coordinator all delegate
-/// here, so the rule cannot drift.
-pub fn check_layout(n_qubits: u16, n_nodes: usize) -> Result<(), ClusterError> {
-    if n_nodes == 0 || !n_nodes.is_power_of_two() {
-        return Err(ClusterError::BadNodeCount(n_nodes));
-    }
-    if n_qubits < n_nodes.trailing_zeros() as u16 + 3 {
-        return Err(ClusterError::TooFewLocalQubits { n_qubits, n_nodes });
-    }
-    Ok(())
+/// `Σ |ψ|²`: per-rank partial sums folded in rank order.
+fn norm(link: &mut impl Link, n_nodes: usize) -> f64 {
+    (0..n_nodes).map(|rank| link.psum(rank)).sum()
 }
 
-/// The distributed execution backend: a node-group descriptor (node count
-/// and interconnect model) implementing [`PooledBackend`] with
-/// [`DistributedStateVector`] states, so `tqsim_statevec::StatePool`, the
-/// `tqsim-engine` pooled tree executor and `tqsim`'s serial tree walk all
-/// run on the cluster unchanged. Parent→child state copies stay node-local
-/// slice memcpys ([`DistributedStateVector::copy_from`]) — intermediate
-/// states never round-trip through a dense global vector.
+/// The sorted-CDF walk shared by batched and fused sampling: sort the
+/// draws, hand each rank in turn the still-unresolved ones and the cursor
+/// the previous rank left (via `step`), and stop once every draw is
+/// resolved. Returns the outcomes in the caller's draw order and the
+/// number of ranks visited.
+fn sorted_walk(
+    us: &[f64],
+    n_nodes: usize,
+    mut step: impl FnMut(usize, &[f64], Option<Cursor>) -> (Vec<u64>, Cursor),
+) -> (Vec<u64>, usize) {
+    let mut order: Vec<usize> = (0..us.len()).collect();
+    order.sort_by(|&i, &j| us[i].total_cmp(&us[j]));
+    let sorted: Vec<f64> = order.iter().map(|&slot| us[slot]).collect();
+    let mut out = vec![0u64; us.len()];
+    let mut done = 0usize;
+    let mut at = None;
+    let mut visited = 0;
+    while done < us.len() && visited < n_nodes {
+        let (outcomes, cursor) = step(visited, &sorted[done..], at);
+        for outcome in outcomes {
+            out[order[done]] = outcome;
+            done += 1;
+        }
+        at = Some(cursor);
+        visited += 1;
+    }
+    debug_assert_eq!(done, us.len(), "walk chain under-consumed draws");
+    (out, visited)
+}
+
+impl<T: Transport> QuantumState for Distributed<T> {
+    fn n_qubits(&self) -> u16 {
+        self.n_qubits
+    }
+
+    fn apply_gate(&mut self, gate: &Gate) {
+        let kind = *gate.kind();
+        self.apply_dense(gate.qubits(), |ps| {
+            FusedOp::Passthrough(Gate::new(kind, ps))
+        });
+    }
+
+    fn apply_mat2(&mut self, q: u16, m: &Mat2) {
+        self.apply_dense(&[q], |ps| FusedOp::Unitary1 {
+            q: ps[0],
+            m: *m,
+            src: None,
+        });
+    }
+
+    fn apply_mat4(&mut self, q_hi: u16, q_lo: u16, m: &Mat4) {
+        self.apply_dense(&[q_hi, q_lo], |ps| FusedOp::Unitary2 {
+            q_hi: ps[0],
+            q_lo: ps[1],
+            m: *m,
+            src: None,
+        });
+    }
+
+    fn apply_mat8(&mut self, q2: u16, q1: u16, q0: u16, m: &Mat8) {
+        self.apply_dense(&[q2, q1, q0], |ps| FusedOp::Unitary3 {
+            q2: ps[0],
+            q1: ps[1],
+            q0: ps[2],
+            m: Box::new(*m),
+        });
+    }
+
+    fn apply_mat16(&mut self, qs: [u16; 4], m: &Mat16) {
+        self.apply_dense(&qs, |ps| FusedOp::Unitary4 {
+            qs: [ps[0], ps[1], ps[2], ps[3]],
+            m: Box::new(m.clone()),
+        });
+    }
+
+    fn apply_mat32(&mut self, qs: [u16; 5], m: &Mat32) {
+        self.apply_dense(&qs, |ps| FusedOp::Unitary5 {
+            qs: [ps[0], ps[1], ps[2], ps[3], ps[4]],
+            m: Box::new(m.clone()),
+        });
+    }
+
+    fn apply_diag_run(&mut self, run: &DiagRun) {
+        // Diagonals never move amplitudes: each node sweeps its slice with
+        // the slice's global base index — no communication even when the
+        // run touches node-selecting (global) qubits. Under batching the
+        // sweep reads qubit positions against the *canonical* index, so a
+        // run touching any displaced qubit must flush first; runs on
+        // undisturbed qubits apply through deferred swaps for free.
+        if !(self
+            .layout
+            .is_identity_on(run.terms1().iter().map(|(q, _)| q))
+            && self
+                .layout
+                .is_identity_on(run.terms2().iter().flat_map(|(a, b, _)| [a, b])))
+        {
+            self.flush_layout();
+        }
+        self.apply_everywhere(FusedOp::FusedDiag(run.clone()));
+        self.note_local_gate();
+    }
+
+    fn marginal_one(&self, q: u16) -> f64 {
+        assert!(q < self.n_qubits, "qubit out of range");
+        debug_assert!(self.layout.is_canonical(), "marginal on deferred layout");
+        let mut link = self.transport.link();
+        if q >= self.local_n {
+            // Node-selecting bit: whole-slice sums of the selected nodes,
+            // folded in node order.
+            let mask = 1usize << (q - self.local_n);
+            (0..self.n_nodes)
+                .filter(|rank| rank & mask != 0)
+                .map(|rank| link.psum(rank))
+                .sum()
+        } else {
+            // Local bit: one flat accumulator chained through the nodes in
+            // order — the single-node one-pass sum, distributed.
+            (0..self.n_nodes).fold(0.0, |acc, rank| link.msum(rank, q, acc))
+        }
+    }
+
+    fn apply_diag1(&mut self, q: u16, d0: C64, d1: C64) {
+        assert!(q < self.n_qubits, "qubit out of range");
+        self.flush_layout();
+        // A one-term run runs the specialised diagonal kernel on a local
+        // qubit and scales whole slices on a node-selecting one.
+        let mut run = DiagRun::new();
+        run.push1(q, [d0, d1]);
+        self.apply_everywhere(FusedOp::FusedDiag(run));
+    }
+
+    fn apply_antidiag1(&mut self, q: u16, a01: C64, a10: C64) {
+        assert!(q < self.n_qubits, "qubit out of range");
+        self.flush_layout();
+        if q >= self.local_n {
+            // The cross-node combine is an exchange round too: same
+            // failpoint and accounting as a dswap, no compute pass.
+            failpoint("cluster.exchange");
+            let start = Instant::now();
+            self.transport
+                .link_mut()
+                .antidiag_global(q - self.local_n, a01, a10);
+            self.note_exchange((self.slice_len() * 16) as u64, start);
+        } else {
+            self.transport.link_mut().antidiag(q, a01, a10);
+            self.charge_compute_pass();
+        }
+    }
+
+    fn renormalize(&mut self) {
+        self.flush_layout();
+        {
+            // One acquisition for the reduction and the scale it decides.
+            let mut link = self.transport.link_mut();
+            let n = norm(&mut link, self.n_nodes);
+            assert!(n > 1e-300, "cannot normalise a zero state");
+            link.scale(1.0 / n.sqrt());
+        }
+        self.charge_compute_pass();
+        self.counters.simulated_seconds += self.model.allreduce_time(self.n_nodes);
+    }
+
+    fn norm_sqr(&self) -> f64 {
+        Distributed::norm_sqr(self)
+    }
+
+    fn sample_with(&self, u: f64) -> u64 {
+        Distributed::sample_with(self, u)
+    }
+
+    fn sample_many(&self, us: &[f64]) -> Vec<u64> {
+        Distributed::sample_many(self, us)
+    }
+
+    /// Fused tail-window sampling: one chained walk in which each visited
+    /// node applies the window to its slice and then walks the sorted CDF
+    /// over it, so the tail never costs a separate pass. Nodes the walk
+    /// never reaches apply the window afterwards, so the state still
+    /// materialises identically everywhere.
+    fn sample_fused(&mut self, window: &[FusedOp], us: &[f64]) -> Vec<u64> {
+        if window.is_empty() {
+            return self.sample_many(us);
+        }
+        if us.is_empty() || !self.layout.is_canonical() || !self.window_is_local(window) {
+            // `apply_window` hits the plan.boundary failpoint itself, so
+            // both paths trigger it exactly once per fused sample. A
+            // boundary-straddling op may leave swaps deferred under
+            // batching; the walk needs the canonical layout.
+            apply_window(self, window);
+            self.flush_layout();
+            return self.sample_many(us);
+        }
+        boundary_failpoint();
+        self.charge_window(window);
+        let total = 1u64 << self.n_qubits;
+        let mut link = self.transport.link_mut();
+        let (out, visited) = sorted_walk(us, self.n_nodes, |rank, pending, at| {
+            link.fwalk(rank, window, pending, at, total)
+        });
+        for rank in visited..self.n_nodes {
+            link.apply_rank(rank, window);
+        }
+        out
+    }
+
+    fn sync_layout(&mut self) {
+        self.flush_layout();
+    }
+}
+
+impl<T: Transport> fmt::Debug for Distributed<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "Distributed[{} qubits over {} nodes]",
+            self.n_qubits, self.n_nodes
+        )
+    }
+}
+
+/// The distributed execution backend: a node-group descriptor (the
+/// transport's group and the interconnect model) implementing
+/// [`PooledBackend`] with [`Distributed`] states, so
+/// `tqsim_statevec::StatePool`, the `tqsim-engine` pooled tree executor
+/// and `tqsim`'s serial tree walk all run on the cluster unchanged.
+/// Parent→child state copies stay node-local slice copies, carrying the
+/// child's head window when it is node-local — intermediate states never
+/// round-trip through a dense global vector.
 ///
 /// Construction does not validate a register width (the backend is
 /// width-agnostic until a state is allocated); call
-/// [`ClusterBackend::validate`] — or check [`ClusterBackend::supports`] —
-/// before pooling states of a given width.
-#[derive(Clone, Debug)]
-pub struct ClusterBackend {
-    n_nodes: usize,
+/// [`DistributedBackend::validate`] — or check
+/// [`DistributedBackend::supports`] — before pooling states of a given
+/// width.
+pub struct DistributedBackend<T: Transport> {
+    group: T::Group,
     model: InterconnectModel,
     obs: Option<Arc<ClusterObs>>,
     batching: bool,
 }
 
+/// The in-process cluster backend (simulated nodes, one thread each).
+pub type ClusterBackend = DistributedBackend<InProcess>;
+
+impl<T: Transport> Clone for DistributedBackend<T> {
+    fn clone(&self) -> Self {
+        DistributedBackend {
+            group: self.group.clone(),
+            model: self.model,
+            obs: self.obs.clone(),
+            batching: self.batching,
+        }
+    }
+}
+
 /// Backends compare by topology (node count, interconnect model, batching
-/// mode); whether one is observed does not change what it computes.
-impl PartialEq for ClusterBackend {
+/// mode); whether one is observed does not change what it computes, and
+/// two live worker groups of the same size compute the same thing.
+impl<T: Transport> PartialEq for DistributedBackend<T> {
     fn eq(&self, other: &Self) -> bool {
-        self.n_nodes == other.n_nodes
+        self.n_nodes() == other.n_nodes()
             && self.model == other.model
             && self.batching == other.batching
     }
 }
 
-impl ClusterBackend {
+impl<T: Transport> fmt::Debug for DistributedBackend<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DistributedBackend")
+            .field("n_nodes", &self.n_nodes())
+            .field("model", &self.model)
+            .field("batching", &self.batching)
+            .finish()
+    }
+}
+
+impl DistributedBackend<InProcess> {
     /// A backend slicing every state across `n_nodes` simulated nodes,
     /// pricing communication with `model`.
     ///
     /// # Panics
     ///
     /// Panics unless `n_nodes` is a power of two ≥ 1 (width-dependent
-    /// validation is deferred to [`ClusterBackend::validate`]).
+    /// validation is deferred to [`DistributedBackend::validate`]).
     pub fn new(n_nodes: usize, model: InterconnectModel) -> Self {
         assert!(
             n_nodes >= 1 && n_nodes.is_power_of_two(),
             "node count {n_nodes} is not a power of two >= 1"
         );
-        ClusterBackend {
-            n_nodes,
+        Self::on(n_nodes, model)
+    }
+}
+
+impl<T: Spawn> DistributedBackend<T> {
+    /// Launch an `n_nodes` node group and wrap it as a backend pricing
+    /// communication with the commodity-cluster model (use
+    /// [`DistributedBackend::on`] with [`Spawn::spawn`] for another model).
+    ///
+    /// # Errors
+    ///
+    /// Launch/handshake IO failures.
+    pub fn spawn(n_nodes: usize) -> io::Result<Self> {
+        Ok(Self::on(
+            T::spawn(n_nodes)?,
+            InterconnectModel::commodity_cluster(),
+        ))
+    }
+
+    /// The live node group, shared with every clone of this backend (for
+    /// health checks and chaos tests).
+    pub fn cluster(&self) -> &T::Group {
+        &self.group
+    }
+}
+
+impl<T: Transport> DistributedBackend<T> {
+    /// A backend allocating every state on `group`.
+    pub fn on(group: T::Group, model: InterconnectModel) -> Self {
+        DistributedBackend {
+            group,
             model,
             obs: None,
             batching: false,
@@ -604,8 +871,8 @@ impl ClusterBackend {
     }
 
     /// Enable exchange batching (deferred dswap undos, see
-    /// [`DistributedStateVector::set_exchange_batching`]) on every state
-    /// this backend allocates.
+    /// [`Distributed::set_exchange_batching`]) on every state this backend
+    /// allocates.
     #[must_use]
     pub fn exchange_batching(mut self, on: bool) -> Self {
         self.batching = on;
@@ -614,7 +881,7 @@ impl ClusterBackend {
 
     /// Number of nodes states are sliced across.
     pub fn n_nodes(&self) -> usize {
-        self.n_nodes
+        T::group_nodes(&self.group)
     }
 
     /// The interconnect model communication is priced with.
@@ -627,30 +894,37 @@ impl ClusterBackend {
     ///
     /// # Errors
     ///
-    /// The same conditions as [`DistributedStateVector::zero`].
+    /// The same conditions as [`Distributed::on`].
     pub fn validate(&self, n_qubits: u16) -> Result<(), ClusterError> {
-        check_layout(n_qubits, self.n_nodes)
+        check_layout(n_qubits, self.n_nodes())
     }
 
     /// Whether `n_qubits`-wide states fit this node group (the infallible
-    /// form of [`ClusterBackend::validate`], for placement policies).
+    /// form of [`DistributedBackend::validate`], for placement policies).
     pub fn supports(&self, n_qubits: u16) -> bool {
         self.validate(n_qubits).is_ok()
     }
+
+    /// Whether `n_qubits`-wide states fit this node group with at least
+    /// `window` qubits node-local, so every dense op of a plan fused into
+    /// `window`-qubit clusters runs on one node.
+    pub fn supports_window(&self, n_qubits: u16, window: usize) -> bool {
+        let global = self.n_nodes().trailing_zeros() as usize;
+        self.supports(n_qubits) && usize::from(n_qubits) >= global + window
+    }
 }
 
-impl PooledBackend for ClusterBackend {
-    type State = DistributedStateVector;
+impl<T: Transport> PooledBackend for DistributedBackend<T> {
+    type State = Distributed<T>;
 
     fn supports(&self, n_qubits: u16) -> bool {
-        ClusterBackend::supports(self, n_qubits)
+        DistributedBackend::supports(self, n_qubits)
     }
 
-    fn allocate(&self, n_qubits: u16) -> DistributedStateVector {
-        let mut state = DistributedStateVector::zero(n_qubits, self.n_nodes, self.model)
-            .unwrap_or_else(|err| {
-                panic!("executors must gate on PooledBackend::supports before allocating: {err}")
-            });
+    fn allocate(&self, n_qubits: u16) -> Distributed<T> {
+        let mut state = Distributed::on(&self.group, n_qubits, self.model).unwrap_or_else(|err| {
+            panic!("executors must gate on PooledBackend::supports before allocating: {err}")
+        });
         if let Some(obs) = &self.obs {
             state.observe(Arc::clone(obs));
         }
@@ -658,366 +932,20 @@ impl PooledBackend for ClusterBackend {
         state
     }
 
-    fn reset_zero(&self, state: &mut DistributedStateVector) {
+    fn reset_zero(&self, state: &mut Distributed<T>) {
         state.reset_zero();
     }
 
-    fn copy_into(&self, dst: &mut DistributedStateVector, src: &DistributedStateVector) {
+    fn copy_into(&self, dst: &mut Distributed<T>, src: &Distributed<T>) {
         dst.copy_from(src);
     }
 
-    fn state_bytes(&self, state: &DistributedStateVector) -> usize {
+    fn copy_into_apply(&self, dst: &mut Distributed<T>, src: &Distributed<T>, head: &[FusedOp]) {
+        dst.copy_from_apply(src, head);
+    }
+
+    fn state_bytes(&self, state: &Distributed<T>) -> usize {
         state.bytes()
-    }
-}
-
-/// Exchange the `lq`-bit=1 half of `a` with the `lq`-bit=0 half of `b`
-/// (the distributed-swap wire protocol; `sl = 1 << lq`).
-fn exchange_halves(a: &mut [C64], b: &mut [C64], sl: usize) {
-    let len = a.len();
-    let mut base = 0;
-    while base < len {
-        for off in 0..sl {
-            let i = base + sl + off; // bit set in a
-            let j = base + off; //      bit clear in b
-            std::mem::swap(&mut a[i], &mut b[j]);
-        }
-        base += sl * 2;
-    }
-}
-
-impl QuantumState for DistributedStateVector {
-    fn n_qubits(&self) -> u16 {
-        self.n_qubits
-    }
-
-    fn apply_gate(&mut self, gate: &Gate) {
-        for &q in gate.qubits() {
-            assert!(q < self.n_qubits, "gate {gate} out of range");
-        }
-        if self.batching {
-            let kind = *gate.kind();
-            self.apply_batched(gate.qubits(), move |slice, ps| {
-                kernels::apply_gate_amps(slice, &Gate::new(kind, ps));
-            });
-            return;
-        }
-        let local_n = self.local_n;
-        if gate.qubits().iter().all(|&q| q < local_n) {
-            self.each_node(|slice| kernels::apply_gate_amps(slice, gate));
-            self.note_local_gate();
-        } else {
-            self.apply_gate_remapped(gate);
-            self.note_remapped_gate();
-        }
-    }
-
-    fn apply_mat2(&mut self, q: u16, m: &Mat2) {
-        assert!(q < self.n_qubits, "qubit out of range");
-        if self.batching {
-            let m = *m;
-            self.apply_batched(&[q], move |slice, ps| {
-                kernels::apply_mat2(slice, ps[0] as usize, &m);
-            });
-            return;
-        }
-        if q < self.local_n {
-            // Fused kernel runs node-local, one thread per node.
-            let ql = q as usize;
-            let m = *m;
-            self.each_node(move |slice| kernels::apply_mat2(slice, ql, &m));
-            self.note_local_gate();
-        } else {
-            let (qs, swaps) = self.remap_to_local(&[q]);
-            let ql = qs[0] as usize;
-            let m = *m;
-            self.each_node(move |slice| kernels::apply_mat2(slice, ql, &m));
-            self.undo_remap(&swaps);
-            self.note_remapped_gate();
-        }
-    }
-
-    fn apply_mat4(&mut self, q_hi: u16, q_lo: u16, m: &Mat4) {
-        assert!(
-            q_hi < self.n_qubits && q_lo < self.n_qubits,
-            "qubit out of range"
-        );
-        if self.batching {
-            let m = *m;
-            self.apply_batched(&[q_hi, q_lo], move |slice, ps| {
-                kernels::apply_mat4(slice, ps[0] as usize, ps[1] as usize, &m);
-            });
-            return;
-        }
-        if q_hi < self.local_n && q_lo < self.local_n {
-            // Both qubits node-local: the fused quad sweep never leaves the
-            // node, exactly like the single-node kernel.
-            let (hi, lo) = (q_hi as usize, q_lo as usize);
-            let m = *m;
-            self.each_node(move |slice| kernels::apply_mat4(slice, hi, lo, &m));
-            self.note_local_gate();
-        } else {
-            // Fall back to the distributed-swap remap path.
-            let (qs, swaps) = self.remap_to_local(&[q_hi, q_lo]);
-            let (hi, lo) = (qs[0] as usize, qs[1] as usize);
-            let m = *m;
-            self.each_node(move |slice| kernels::apply_mat4(slice, hi, lo, &m));
-            self.undo_remap(&swaps);
-            self.note_remapped_gate();
-        }
-    }
-
-    fn apply_mat8(&mut self, q2: u16, q1: u16, q0: u16, m: &Mat8) {
-        assert!(
-            q2 < self.n_qubits && q1 < self.n_qubits && q0 < self.n_qubits,
-            "qubit out of range"
-        );
-        if self.batching {
-            let m = *m;
-            self.apply_batched(&[q2, q1, q0], move |slice, ps| {
-                kernels::apply_mat8(slice, ps[0] as usize, ps[1] as usize, ps[2] as usize, &m);
-            });
-            return;
-        }
-        if q2 < self.local_n && q1 < self.local_n && q0 < self.local_n {
-            // All three qubits node-local: the fused octet sweep never
-            // leaves the node, exactly like the single-node kernel.
-            let (b2, b1, b0) = (q2 as usize, q1 as usize, q0 as usize);
-            let m = *m;
-            self.each_node(move |slice| kernels::apply_mat8(slice, b2, b1, b0, &m));
-            self.note_local_gate();
-        } else {
-            // Fall back to the distributed-swap remap path.
-            let (qs, swaps) = self.remap_to_local(&[q2, q1, q0]);
-            let (b2, b1, b0) = (qs[0] as usize, qs[1] as usize, qs[2] as usize);
-            let m = *m;
-            self.each_node(move |slice| kernels::apply_mat8(slice, b2, b1, b0, &m));
-            self.undo_remap(&swaps);
-            self.note_remapped_gate();
-        }
-    }
-
-    fn apply_mat16(&mut self, qs: [u16; 4], m: &Mat16) {
-        assert!(qs.iter().all(|&q| q < self.n_qubits), "qubit out of range");
-        assert!(
-            self.local_n >= 4,
-            "4-qubit fusion clusters need >= 4 node-local qubits \
-             (n_qubits >= log2(nodes) + 4); lower max_fuse_qubits"
-        );
-        if self.batching {
-            self.apply_batched(&qs, move |slice, ps| {
-                kernels::apply_mat16(slice, [ps[0], ps[1], ps[2], ps[3]].map(usize::from), m);
-            });
-            return;
-        }
-        if qs.iter().all(|&q| q < self.local_n) {
-            // All four qubits node-local: the fused 16-amp sweep never
-            // leaves the node, exactly like the single-node kernel.
-            let bs = qs.map(usize::from);
-            self.each_node(move |slice| kernels::apply_mat16(slice, bs, m));
-            self.note_local_gate();
-        } else {
-            // Fall back to the distributed-swap remap path.
-            let (remapped, swaps) = self.remap_to_local(&qs);
-            let bs = [remapped[0], remapped[1], remapped[2], remapped[3]].map(usize::from);
-            self.each_node(move |slice| kernels::apply_mat16(slice, bs, m));
-            self.undo_remap(&swaps);
-            self.note_remapped_gate();
-        }
-    }
-
-    fn apply_mat32(&mut self, qs: [u16; 5], m: &Mat32) {
-        assert!(qs.iter().all(|&q| q < self.n_qubits), "qubit out of range");
-        assert!(
-            self.local_n >= 5,
-            "5-qubit fusion clusters need >= 5 node-local qubits \
-             (n_qubits >= log2(nodes) + 5); lower max_fuse_qubits"
-        );
-        if self.batching {
-            self.apply_batched(&qs, move |slice, ps| {
-                kernels::apply_mat32(
-                    slice,
-                    [ps[0], ps[1], ps[2], ps[3], ps[4]].map(usize::from),
-                    m,
-                );
-            });
-            return;
-        }
-        if qs.iter().all(|&q| q < self.local_n) {
-            let bs = qs.map(usize::from);
-            self.each_node(move |slice| kernels::apply_mat32(slice, bs, m));
-            self.note_local_gate();
-        } else {
-            let (remapped, swaps) = self.remap_to_local(&qs);
-            let bs = [
-                remapped[0],
-                remapped[1],
-                remapped[2],
-                remapped[3],
-                remapped[4],
-            ]
-            .map(usize::from);
-            self.each_node(move |slice| kernels::apply_mat32(slice, bs, m));
-            self.undo_remap(&swaps);
-            self.note_remapped_gate();
-        }
-    }
-
-    fn apply_diag_run(&mut self, run: &DiagRun) {
-        // Diagonals never move amplitudes: each node sweeps its slice with
-        // the slice's global base index — no communication even when the
-        // run touches node-selecting (global) qubits. Under batching the
-        // sweep reads qubit positions against the *canonical* index, so a
-        // run touching any displaced qubit must flush first; runs on
-        // undisturbed qubits apply through deferred swaps for free.
-        if self.batching
-            && !(self
-                .layout
-                .is_identity_on(run.terms1().iter().map(|(q, _)| q))
-                && self
-                    .layout
-                    .is_identity_on(run.terms2().iter().flat_map(|(a, b, _)| [a, b])))
-        {
-            self.flush_layout();
-        }
-        let local_n = self.local_n;
-        self.each_node_indexed(|node, slice| run.apply_offset(slice, node << local_n));
-        self.note_local_gate();
-    }
-
-    fn marginal_one(&self, q: u16) -> f64 {
-        assert!(q < self.n_qubits, "qubit out of range");
-        debug_assert!(self.layout.is_canonical(), "marginal on deferred layout");
-        if q >= self.local_n {
-            let mask = 1usize << (q - self.local_n);
-            self.slices
-                .iter()
-                .enumerate()
-                .filter(|(node, _)| node & mask != 0)
-                .map(|(_, s)| s.iter().map(|a| a.norm_sqr()).sum::<f64>())
-                .sum()
-        } else {
-            let mask = 1usize << q;
-            self.slices
-                .iter()
-                .flat_map(|s| s.iter().enumerate())
-                .filter(|(i, _)| i & mask != 0)
-                .map(|(_, a)| a.norm_sqr())
-                .sum()
-        }
-    }
-
-    fn apply_diag1(&mut self, q: u16, d0: C64, d1: C64) {
-        assert!(q < self.n_qubits, "qubit out of range");
-        self.flush_layout();
-        if q >= self.local_n {
-            // Node-selecting bit: scale whole slices, no communication.
-            let mask = 1usize << (q - self.local_n);
-            self.each_node_indexed(|node, slice| {
-                let d = if node & mask != 0 { d1 } else { d0 };
-                for a in slice.iter_mut() {
-                    *a *= d;
-                }
-            });
-        } else {
-            let q = q as usize;
-            self.each_node(|slice| kernels::apply_diag1(slice, q, d0, d1));
-        }
-    }
-
-    fn apply_antidiag1(&mut self, q: u16, a01: C64, a10: C64) {
-        assert!(q < self.n_qubits, "qubit out of range");
-        self.flush_layout();
-        if q >= self.local_n {
-            // Same interconnect failpoint as `dswap`: the cross-node
-            // combine is an exchange round too.
-            if let Err(fault) = tqsim_faults::trigger("cluster.exchange") {
-                panic!("{fault}");
-            }
-            let start = Instant::now();
-            // Pairwise cross-node combine: a' = a01·b, b' = a10·a.
-            let step = 1usize << (q - self.local_n);
-            let combine = |a: &mut Vec<C64>, b: &mut Vec<C64>| {
-                for (x, y) in a.iter_mut().zip(b.iter_mut()) {
-                    let (vx, vy) = (*x, *y);
-                    *x = a01 * vy;
-                    *y = a10 * vx;
-                }
-            };
-            if self.slice_len() < THREAD_MIN_SLICE {
-                for chunk in self.slices.chunks_mut(step * 2) {
-                    let (lo, hi) = chunk.split_at_mut(step);
-                    for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
-                        combine(a, b);
-                    }
-                }
-            } else {
-                std::thread::scope(|scope| {
-                    for chunk in self.slices.chunks_mut(step * 2) {
-                        let (lo, hi) = chunk.split_at_mut(step);
-                        for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
-                            let combine = &combine;
-                            scope.spawn(move || combine(a, b));
-                        }
-                    }
-                });
-            }
-            let measured = start.elapsed().as_secs_f64();
-            let bytes = (self.slice_len() * 16) as u64;
-            let simulated = self.model.exchange_time(bytes);
-            let total_bytes = bytes * self.n_nodes() as u64;
-            self.counters.exchanges += 1;
-            self.counters.bytes_exchanged += total_bytes;
-            self.counters.simulated_seconds += simulated;
-            self.counters.measured_exchange_seconds += measured;
-            if let Some(obs) = &self.obs {
-                obs.note_exchange(total_bytes, measured, simulated);
-            }
-        } else {
-            let q = q as usize;
-            self.each_node(|slice| kernels::apply_antidiag1(slice, q, a01, a10));
-        }
-    }
-
-    fn renormalize(&mut self) {
-        self.flush_layout();
-        let n = self.norm_sqr();
-        assert!(n > 1e-300, "cannot normalise a zero state");
-        let s = 1.0 / n.sqrt();
-        self.each_node(|slice| {
-            for a in slice.iter_mut() {
-                *a *= s;
-            }
-        });
-        self.counters.simulated_seconds += self.model.allreduce_time(self.n_nodes());
-    }
-
-    fn norm_sqr(&self) -> f64 {
-        DistributedStateVector::norm_sqr(self)
-    }
-
-    fn sample_with(&self, u: f64) -> u64 {
-        DistributedStateVector::sample_with(self, u)
-    }
-
-    fn sample_many(&self, us: &[f64]) -> Vec<u64> {
-        DistributedStateVector::sample_many(self, us)
-    }
-
-    fn sync_layout(&mut self) {
-        self.flush_layout();
-    }
-}
-
-impl fmt::Debug for DistributedStateVector {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "DistributedStateVector[{} qubits over {} nodes; |ψ|²={:.6}]",
-            self.n_qubits,
-            self.n_nodes(),
-            self.norm_sqr()
-        )
     }
 }
 
@@ -1025,6 +953,7 @@ impl fmt::Debug for DistributedStateVector {
 mod tests {
     use super::*;
     use tqsim_circuit::generators;
+    use tqsim_circuit::math::c64;
     use tqsim_circuit::{Circuit, GateKind};
 
     fn assert_states_match(dsv: &DistributedStateVector, sv: &StateVector) {

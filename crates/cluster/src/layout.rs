@@ -8,18 +8,17 @@
 //! qsim-style global gate scheduling leaves the swaps in place and only
 //! undoes them when a later access conflicts.
 //!
-//! [`LayoutTracker`] is the single decision procedure for that deferral,
-//! shared by the in-process [`crate::DistributedStateVector`] and the
-//! multi-process `tqsim-shard` coordinator so both backends perform — and
-//! count — **exactly** the same exchange sequence. The tracker never moves
-//! amplitudes itself: every decision returns the dswaps the caller must
-//! execute, in order, and commits the resulting logical↔physical
-//! permutation.
+//! [`LayoutTracker`] is the single decision procedure for every dswap the
+//! distributed core ([`crate::Distributed`]) issues, on every transport.
+//! Eager mode is the same procedure with the layout synced after each op:
+//! the remap and its undo then come out as the classic swap-down,
+//! apply, swap-back sequence. The tracker never moves amplitudes itself:
+//! every decision returns the dswaps the caller must execute, in order,
+//! and commits the resulting logical↔physical permutation.
 
-/// How to execute one dense op (gate / Mat2 / Mat4 / Mat8) under the
+/// How to execute one dense op (a gate or a fused matrix) under the
 /// current deferred layout. Swap lists are `(global_bit, local_dst)` pairs
-/// in execution order, exactly as
-/// [`crate::DistributedStateVector`]'s eager remap would issue them.
+/// in execution order.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DensePlan {
     /// Every operand already sits at a node-local physical position: apply
@@ -110,9 +109,9 @@ impl LayoutTracker {
     }
 
     /// Decide how to execute a dense op on logical operands `qs` and commit
-    /// the resulting permutation. The remap branch reproduces the eager
-    /// scratch-selection rule bit for bit (highest local qubits not used by
-    /// the op, assigned low-to-high), so an eager and a batched run issue
+    /// the resulting permutation. The remap branch picks scratch positions
+    /// by one fixed rule (highest local qubits not used by the op,
+    /// assigned low-to-high), so an eager and a batched run issue
     /// identical individual dswaps — batching only *elides* the
     /// swap-back/swap-down pairs between compatible ops.
     pub fn decide_dense(&mut self, qs: &[u16]) -> DensePlan {
@@ -124,9 +123,8 @@ impl LayoutTracker {
         if qs.iter().all(|&q| q < self.local_n) {
             return DensePlan::FlushThenLocal { undo };
         }
-        // Mirror `DistributedStateVector::remap_to_local`: scratch = the
-        // highest local qubits not used by the operation itself, popped
-        // from the low end of that descending list.
+        // Scratch = the highest local qubits not used by the operation
+        // itself, popped from the low end of that descending list.
         let mut qubits = qs.to_vec();
         let mut scratch: Vec<u16> = (0..self.local_n)
             .rev()

@@ -3,12 +3,29 @@
 //! qHiPSTER-style distributed state-vector substrate — the multi-node
 //! evaluation platform of the TQSim reproduction (paper §5.3, Fig. 13).
 //!
-//! The full amplitude array is sliced across simulated nodes (one thread
-//! per node); gates on global qubits perform the pairwise half-slice
-//! exchanges a real cluster would, with every byte counted and priced by an
-//! [`InterconnectModel`]. Results are validated bit-exactly against the
-//! single-node engine, and an analytic estimator extrapolates the Fig. 13
-//! strong/weak-scaling curves to widths this environment cannot execute.
+//! The full amplitude array is sliced across nodes; gates on global qubits
+//! perform the pairwise half-slice exchanges a real cluster would, with
+//! every byte counted and priced by an [`InterconnectModel`]. Results are
+//! validated bit-exactly against the single-node engine, and an analytic
+//! estimator extrapolates the Fig. 13 strong/weak-scaling curves to widths
+//! this environment cannot execute.
+//!
+//! One distributed core serves every transport:
+//!
+//! * [`Distributed`] — the distributed state over a [`Transport`]. It owns
+//!   the [`LayoutTracker`] (eager and batched exchange schedules), the
+//!   [`ClusterCounters`] and [`ClusterObs`] accounting, the interconnect
+//!   pricing and the rank-ordered reductions, and holds the only
+//!   distributed `QuantumState` implementation;
+//! * [`DistributedBackend`] — the matching `PooledBackend` descriptor;
+//! * [`slices`] — the per-slice arithmetic every transport runs on its
+//!   slices, so transports agree bit for bit by construction;
+//! * [`transport`] — the verb set the core drives, and [`InProcess`], the
+//!   transport that keeps every slice in this process (one thread per
+//!   node). [`DistributedStateVector`] and [`ClusterBackend`] name it.
+//!
+//! The `tqsim-shard` crate adds the multi-process transport (one worker
+//! process per node over loopback TCP) behind the same core.
 //!
 //! ```
 //! use tqsim_cluster::{DistributedStateVector, InterconnectModel};
@@ -28,15 +45,21 @@
 
 #![warn(missing_docs)]
 
-pub mod dsv;
+pub mod distributed;
 pub mod layout;
 pub mod model;
 pub mod runner;
+pub mod slices;
+pub mod transport;
 
-pub use dsv::{check_layout, ClusterBackend, ClusterError, ClusterObs, DistributedStateVector};
+pub use distributed::{
+    check_layout, ClusterBackend, ClusterError, ClusterObs, Distributed, DistributedBackend,
+    DistributedStateVector,
+};
 pub use layout::{DensePlan, LayoutTracker};
 pub use model::{ClusterCounters, InterconnectModel};
 pub use runner::{
     estimate_shot_seconds, estimate_tree_seconds, run_distributed, run_distributed_with_options,
     DistRunResult,
 };
+pub use transport::{InProcess, Link, LinkMut, Spawn, Transport};

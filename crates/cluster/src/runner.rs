@@ -1,7 +1,7 @@
 //! Distributed execution of baseline and TQSim tree simulations, plus the
 //! analytic scaling estimator behind Fig. 13.
 
-use crate::dsv::{ClusterBackend, ClusterError, DistributedStateVector};
+use crate::distributed::{check_layout, ClusterBackend, ClusterError, DistributedStateVector};
 use crate::model::{ClusterCounters, InterconnectModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -93,7 +93,7 @@ pub fn run_distributed_with_options(
     let mut counts = Counts::new(n);
     let mut ops = OpCounts::new();
 
-    crate::dsv::check_layout(n, n_nodes)?;
+    check_layout(n, n_nodes)?;
     let backend = ClusterBackend::new(n_nodes, model);
     let mut states: Vec<DistributedStateVector> = (0..=k).map(|_| backend.allocate(n)).collect();
     ops.state_resets += 1;

@@ -251,6 +251,7 @@ pub struct JobPlan {
     pub(crate) n_qubits: u16,
     pub(crate) noise: NoiseModel,
     shots: u64,
+    fusion: FusionConfig,
 }
 
 impl std::fmt::Debug for JobPlan {
@@ -310,6 +311,7 @@ impl JobPlan {
             n_qubits: circuit.n_qubits(),
             noise: noise.clone(),
             shots,
+            fusion,
         })
     }
 
@@ -336,6 +338,11 @@ impl JobPlan {
     /// The shot budget the plan was sized for.
     pub fn shots(&self) -> u64 {
         self.shots
+    }
+
+    /// The fusion window the subcircuits were compiled with.
+    pub fn fusion(&self) -> FusionConfig {
+        self.fusion
     }
 }
 

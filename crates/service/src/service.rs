@@ -41,8 +41,9 @@ pub enum ClusterTransport {
 pub struct BackendPolicy {
     /// Route jobs whose register width is at least this many qubits to the
     /// cluster engine (`None`, the default, runs everything single-node).
-    /// Jobs the node group cannot slice (fewer than 3 local qubits) fall
-    /// back to the single-node engine regardless.
+    /// Jobs the node group cannot run — fewer than 3 local qubits, or
+    /// fewer local qubits than the job's fusion window — fall back to the
+    /// single-node engine regardless.
     pub cluster_min_qubits: Option<u16>,
     /// Simulated node-group size for cluster-backed jobs (power of two).
     pub cluster_nodes: usize,
@@ -629,13 +630,18 @@ enum ClusterEngine {
 }
 
 impl ClusterEngine {
-    /// Whether the node group can slice `n_qubits`-wide states (placement
-    /// feasibility, read off the engine's own backend so there is no
-    /// second copy to drift).
-    fn supports(&self, n_qubits: u16) -> bool {
+    /// Whether the node group can slice `n_qubits`-wide states and keep
+    /// `window`-qubit fusion clusters node-local (placement feasibility,
+    /// read off the engine's own backend so there is no second copy to
+    /// drift).
+    fn supports(&self, n_qubits: u16, window: usize) -> bool {
         match self {
-            ClusterEngine::InProcess(e) => e.worker_pool().backend().supports(n_qubits),
-            ClusterEngine::MultiProcess(e) => e.worker_pool().backend().supports(n_qubits),
+            ClusterEngine::InProcess(e) => {
+                e.worker_pool().backend().supports_window(n_qubits, window)
+            }
+            ClusterEngine::MultiProcess(e) => {
+                e.worker_pool().backend().supports_window(n_qubits, window)
+            }
         }
     }
 
@@ -1227,11 +1233,12 @@ enum Placement {
 }
 
 /// Apply the backend policy: cluster when configured, the job is at or
-/// above the width threshold, and the node group can actually slice it
-/// (≥ 3 local qubits); single-node otherwise — unless the job is also
-/// wider than [`BackendPolicy::single_node_max_qubits`], in which case no
-/// engine can take it and placement itself fails.
-fn place(shared: &Shared, n_qubits: u16) -> Result<Placement, JobError> {
+/// above the width threshold, and the node group can actually run it (≥ 3
+/// local qubits, and at least as many as the job's fusion window, so no
+/// fused cluster straddles nodes); single-node otherwise — unless the job
+/// is also wider than [`BackendPolicy::single_node_max_qubits`], in which
+/// case no engine can take it and placement itself fails.
+fn place(shared: &Shared, n_qubits: u16, window: usize) -> Result<Placement, JobError> {
     let over_threshold = shared
         .cfg
         .backend_policy
@@ -1240,7 +1247,7 @@ fn place(shared: &Shared, n_qubits: u16) -> Result<Placement, JobError> {
     let feasible = shared
         .cluster
         .as_ref()
-        .is_some_and(|engine| engine.supports(n_qubits));
+        .is_some_and(|engine| engine.supports(n_qubits, window));
     if over_threshold && feasible {
         Ok(Placement::Cluster)
     } else if single_node_fits(shared, n_qubits) {
@@ -1295,7 +1302,7 @@ fn start_attempt(
     }
     let placement = match forced {
         Some(placement) => placement,
-        None => match place(shared, plan.n_qubits()) {
+        None => match place(shared, plan.n_qubits(), plan.fusion().width()) {
             Ok(placement) => placement,
             Err(err) => {
                 record.fail(err);

@@ -4,31 +4,33 @@
 //! across shard worker processes on loopback TCP, bit-identical to the
 //! in-process distributed backend.
 //!
-//! The in-process `tqsim-cluster` backend simulates a qHiPSTER node group
-//! with one thread per node; this crate replaces the threads with actual
-//! OS processes and the shared-memory half-slice swaps with a real wire
-//! protocol, while keeping every observable — amplitudes, `Counts`,
-//! deterministic cluster counters, exchange schedules — **bit-identical**
-//! to that backend. The pieces:
+//! `tqsim-cluster` owns one distributed core, [`tqsim_cluster::Distributed`]:
+//! layout remaps, exchange batching, counters, interconnect pricing and
+//! the rank-ordered reductions, over a small transport verb set. This
+//! crate is the second transport behind that core — one OS process per
+//! node instead of one thread, a real wire instead of shared memory —
+//! and adds no decision of its own. The pieces:
 //!
+//! * [`state`] — [`ShardSlices`], the transport: one control message per
+//!   worker per verb, under one acquisition of the cluster link per
+//!   multi-rank verb or chained reduction; plus the
+//!   [`ShardedStateVector`] and [`ShardBackend`] names for the core over
+//!   it;
+//! * [`worker`] — the worker process runtime: owns its node's slices,
+//!   dispatches each verb into the shared `tqsim_cluster::slices`
+//!   functions, and exchanges dswap halves peer-to-peer over a
+//!   lazily-dialed worker mesh;
 //! * [`proto`] — the wire protocol: line-delimited JSON control verbs
 //!   (the `tqsim-service` codec idiom, via `tqsim-json`) plus
 //!   length-prefixed binary amplitude frames;
-//! * [`worker`] — the worker process runtime: owns one node slice, applies
-//!   node-local kernels, and exchanges dswap halves peer-to-peer over a
-//!   lazily-dialed worker mesh;
 //! * [`cluster`] — process lifecycle: spawn/handshake/shutdown, the
-//!   single-mutex coordinator transport, and the `kill_worker` chaos hook;
-//! * [`state`] — [`ShardedStateVector`], the coordinator-side
-//!   `QuantumState` that drives verbs and owns every deterministic
-//!   decision (layout remaps, counters, chained fp reductions);
-//! * [`backend`] — [`ShardBackend`], the `PooledBackend` descriptor that
-//!   plugs the whole thing in behind the engine's executor seam.
+//!   single-mutex coordinator transport, and the `kill_worker` chaos hook.
 //!
-//! Exchange batching (deferred dswap undos across runs of fused ops) is
-//! shared with the in-process backend through
-//! `tqsim_cluster::LayoutTracker`, so both backends produce the same
-//! reduced exchange schedule when it is enabled.
+//! The worker verbs are: `apply` (a fused window on the worker's slice at
+//! its rank's base), `dswap` and `antidiag_g` (the pairwise exchanges),
+//! `antidiag` and `scale`, the chain links `psum`/`msum`/`pick`/`walk`/
+//! `fwalk`, the lifecycle verbs `alloc`/`reset`/`free`/`copy`/`capply`,
+//! and `fetch`.
 //!
 //! Transport failures — a worker process dying mid-job, or an injected
 //! `shard.transport` failpoint — panic on the coordinator thread driving
@@ -37,12 +39,10 @@
 
 #![warn(missing_docs)]
 
-pub mod backend;
 pub mod cluster;
 pub mod proto;
 pub mod state;
 pub mod worker;
 
-pub use backend::ShardBackend;
 pub use cluster::{ClusterLink, ShardCluster};
-pub use state::ShardedStateVector;
+pub use state::{ShardBackend, ShardLink, ShardSlices, ShardedStateVector};

@@ -19,6 +19,7 @@
 //! what lets the multi-process backend stay bit-identical to the
 //! in-process one.
 
+use std::cell::RefCell;
 use std::io::{self, BufRead, Read, Write};
 use tqsim_circuit::math::{c64, Mat16, Mat2, Mat32, Mat4, Mat8, C64};
 use tqsim_circuit::{Gate, GateKind};
@@ -69,6 +70,12 @@ pub fn ack() -> Value {
 
 // ---------------------------------------------------------- binary plane
 
+thread_local! {
+    /// Encoded-frame scratch, reused so moving a frame allocates nothing
+    /// once warm and crosses the socket in one call.
+    static FRAME: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
 /// Write `amps` as one length-prefixed binary frame (8-byte LE byte
 /// count, then `f64` LE re/im pairs).
 ///
@@ -76,15 +83,16 @@ pub fn ack() -> Value {
 ///
 /// Propagates transport errors.
 pub fn write_amps<W: Write>(w: &mut W, amps: &[C64]) -> io::Result<()> {
-    let bytes = (amps.len() * 16) as u64;
-    w.write_all(&bytes.to_le_bytes())?;
-    let mut buf = Vec::with_capacity(amps.len() * 16);
-    for a in amps {
-        buf.extend_from_slice(&a.re.to_le_bytes());
-        buf.extend_from_slice(&a.im.to_le_bytes());
-    }
-    w.write_all(&buf)?;
-    w.flush()
+    FRAME.with_borrow_mut(|buf| {
+        buf.clear();
+        buf.extend_from_slice(&((amps.len() * 16) as u64).to_le_bytes());
+        for a in amps {
+            buf.extend_from_slice(&a.re.to_le_bytes());
+            buf.extend_from_slice(&a.im.to_le_bytes());
+        }
+        w.write_all(buf)?;
+        w.flush()
+    })
 }
 
 /// Read one binary amplitude frame written by [`write_amps`].
@@ -93,88 +101,70 @@ pub fn write_amps<W: Write>(w: &mut W, amps: &[C64]) -> io::Result<()> {
 ///
 /// Transport errors, or a frame whose byte count is not a multiple of 16.
 pub fn read_amps<R: Read>(r: &mut R) -> io::Result<Vec<C64>> {
+    let len = read_frame_len(r)?;
+    let mut amps = vec![c64(0.0, 0.0); len];
+    read_frame_body(r, len, amps.iter_mut())?;
+    Ok(amps)
+}
+
+/// Read one frame of exactly `len` amplitudes written by [`write_amps`]
+/// straight into `dst`, in order (e.g. the runs of a distributed-swap
+/// half, flattened).
+///
+/// # Errors
+///
+/// Transport errors, or a frame of another length.
+pub fn read_amps_into<'a, R: Read>(
+    r: &mut R,
+    len: usize,
+    dst: impl IntoIterator<Item = &'a mut C64>,
+) -> io::Result<()> {
+    if read_frame_len(r)? != len {
+        return Err(frame_error("amplitude frame length mismatch"));
+    }
+    read_frame_body(r, len, dst)
+}
+
+fn frame_error(what: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, what.to_string())
+}
+
+/// Read a frame header: the amplitude count.
+fn read_frame_len<R: Read>(r: &mut R) -> io::Result<usize> {
     let mut len = [0u8; 8];
     r.read_exact(&mut len)?;
     let bytes = u64::from_le_bytes(len) as usize;
     if !bytes.is_multiple_of(16) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
+        return Err(frame_error(
             "amplitude frame length is not a multiple of 16",
         ));
     }
-    let mut buf = vec![0u8; bytes];
-    r.read_exact(&mut buf)?;
-    let mut amps = Vec::with_capacity(bytes / 16);
-    for chunk in buf.chunks_exact(16) {
-        let re = f64::from_le_bytes(chunk[..8].try_into().expect("8-byte chunk"));
-        let im = f64::from_le_bytes(chunk[8..].try_into().expect("8-byte chunk"));
-        amps.push(c64(re, im));
-    }
-    Ok(amps)
+    Ok(bytes / 16)
+}
+
+/// Decode a frame body of `len` amplitudes into `dst`.
+fn read_frame_body<'a, R: Read>(
+    r: &mut R,
+    len: usize,
+    dst: impl IntoIterator<Item = &'a mut C64>,
+) -> io::Result<()> {
+    FRAME.with_borrow_mut(|buf| {
+        buf.resize(16 * len, 0);
+        r.read_exact(buf)?;
+        let mut dst = dst.into_iter();
+        for cell in buf.chunks_exact(16) {
+            let slot = dst
+                .next()
+                .ok_or_else(|| frame_error("amplitude frame longer than its destination"))?;
+            let re = f64::from_le_bytes(cell[..8].try_into().expect("8-byte half"));
+            let im = f64::from_le_bytes(cell[8..].try_into().expect("8-byte half"));
+            *slot = c64(re, im);
+        }
+        Ok(())
+    })
 }
 
 // ------------------------------------------------------------ gate codec
-
-/// Per-mnemonic decode table: `(params, arity)` — the same shapes as the
-/// service wire protocol, so one mnemonic set covers both protocols.
-fn gate_shape(name: &str) -> Option<(usize, usize)> {
-    Some(match name {
-        "id" | "x" | "y" | "z" | "h" | "s" | "sdg" | "t" | "tdg" | "sx" | "sy" | "sw" => (0, 1),
-        "rx" | "ry" | "rz" | "p" => (1, 1),
-        "u3" => (3, 1),
-        "u1q" => (8, 1),
-        "cx" | "cz" | "swap" => (0, 2),
-        "cp" | "rzz" => (1, 2),
-        "fsim" => (2, 2),
-        "u2q" => (32, 2),
-        "ccx" => (0, 3),
-        _ => return None,
-    })
-}
-
-fn gate_kind(name: &str, params: &[f64]) -> Option<GateKind> {
-    Some(match name {
-        "id" => GateKind::Id,
-        "x" => GateKind::X,
-        "y" => GateKind::Y,
-        "z" => GateKind::Z,
-        "h" => GateKind::H,
-        "s" => GateKind::S,
-        "sdg" => GateKind::Sdg,
-        "t" => GateKind::T,
-        "tdg" => GateKind::Tdg,
-        "sx" => GateKind::Sx,
-        "sy" => GateKind::Sy,
-        "sw" => GateKind::Sw,
-        "rx" => GateKind::Rx(params[0]),
-        "ry" => GateKind::Ry(params[0]),
-        "rz" => GateKind::Rz(params[0]),
-        "p" => GateKind::Phase(params[0]),
-        "u3" => GateKind::U3(params[0], params[1], params[2]),
-        "u1q" => {
-            let e = |i: usize| c64(params[2 * i], params[2 * i + 1]);
-            GateKind::Unitary1(Mat2([[e(0), e(1)], [e(2), e(3)]]))
-        }
-        "cx" => GateKind::Cx,
-        "cz" => GateKind::Cz,
-        "swap" => GateKind::Swap,
-        "cp" => GateKind::CPhase(params[0]),
-        "rzz" => GateKind::Rzz(params[0]),
-        "fsim" => GateKind::FSim(params[0], params[1]),
-        "u2q" => {
-            let e = |i: usize| c64(params[2 * i], params[2 * i + 1]);
-            let mut m = [[c64(0.0, 0.0); 4]; 4];
-            for (r, row) in m.iter_mut().enumerate() {
-                for (c_idx, cell) in row.iter_mut().enumerate() {
-                    *cell = e(r * 4 + c_idx);
-                }
-            }
-            GateKind::Unitary2(Mat4(m))
-        }
-        "ccx" => GateKind::Ccx,
-        _ => return None,
-    })
-}
 
 /// Encode a gate as `[name, params…, qubits…]`.
 pub fn gate_to_value(gate: &Gate) -> Value {
@@ -195,7 +185,8 @@ pub fn gate_from_value(value: &Value) -> Result<Gate, String> {
         .first()
         .and_then(Value::as_str)
         .ok_or("gate lacks a name")?;
-    let (n_params, arity) = gate_shape(name).ok_or_else(|| format!("unknown mnemonic {name:?}"))?;
+    let (n_params, arity) =
+        GateKind::shape(name).ok_or_else(|| format!("unknown mnemonic {name:?}"))?;
     if parts.len() != 1 + n_params + arity {
         return Err(format!(
             "gate {name}: expected {n_params} params + {arity} qubits, got {} cells",
@@ -214,7 +205,7 @@ pub fn gate_from_value(value: &Value) -> Result<Gate, String> {
                 .ok_or_else(|| format!("gate {name}: bad qubit"))
         })
         .collect::<Result<_, _>>()?;
-    let kind = gate_kind(name, &params).expect("shape-checked mnemonic");
+    let kind = GateKind::from_name(name, &params).expect("shape-checked mnemonic");
     Ok(Gate::new(kind, &qubits))
 }
 
@@ -252,95 +243,23 @@ pub fn c64s_from_value(value: &Value, n: usize) -> Result<Vec<C64>, String> {
         .collect()
 }
 
-/// Encode a dense 2×2 matrix (row-major flat complex list).
-pub fn mat2_to_value(m: &Mat2) -> Value {
-    c64s_to_value(m.0.iter().flatten())
+/// Encode a dense `N×N` matrix as a row-major flat complex list.
+pub fn mat_to_value<const N: usize>(rows: &[[C64; N]; N]) -> Value {
+    c64s_to_value(rows.iter().flatten())
 }
 
-/// Decode a dense 2×2 matrix.
+/// Decode a dense `N×N` matrix (see [`mat_to_value`]).
 ///
 /// # Errors
 ///
 /// A human-readable message for malformed input.
-pub fn mat2_from_value(value: &Value) -> Result<Mat2, String> {
-    let v = c64s_from_value(value, 4)?;
-    Ok(Mat2([[v[0], v[1]], [v[2], v[3]]]))
-}
-
-/// Encode a dense 4×4 matrix (row-major flat complex list).
-pub fn mat4_to_value(m: &Mat4) -> Value {
-    c64s_to_value(m.0.iter().flatten())
-}
-
-/// Decode a dense 4×4 matrix.
-///
-/// # Errors
-///
-/// A human-readable message for malformed input.
-pub fn mat4_from_value(value: &Value) -> Result<Mat4, String> {
-    let v = c64s_from_value(value, 16)?;
-    let mut m = [[c64(0.0, 0.0); 4]; 4];
-    for (r, row) in m.iter_mut().enumerate() {
-        row.copy_from_slice(&v[r * 4..r * 4 + 4]);
+pub fn mat_from_value<const N: usize>(value: &Value) -> Result<[[C64; N]; N], String> {
+    let flat = c64s_from_value(value, N * N)?;
+    let mut rows = [[c64(0.0, 0.0); N]; N];
+    for (row, cells) in rows.iter_mut().zip(flat.chunks_exact(N)) {
+        row.copy_from_slice(cells);
     }
-    Ok(Mat4(m))
-}
-
-/// Encode a dense 8×8 matrix (row-major flat complex list).
-pub fn mat8_to_value(m: &Mat8) -> Value {
-    c64s_to_value(m.0.iter().flatten())
-}
-
-/// Decode a dense 8×8 matrix.
-///
-/// # Errors
-///
-/// A human-readable message for malformed input.
-pub fn mat8_from_value(value: &Value) -> Result<Mat8, String> {
-    let v = c64s_from_value(value, 64)?;
-    let mut m = [[c64(0.0, 0.0); 8]; 8];
-    for (r, row) in m.iter_mut().enumerate() {
-        row.copy_from_slice(&v[r * 8..r * 8 + 8]);
-    }
-    Ok(Mat8(m))
-}
-
-/// Encode a dense 16×16 matrix (row-major flat complex list).
-pub fn mat16_to_value(m: &Mat16) -> Value {
-    c64s_to_value(m.0.iter().flatten())
-}
-
-/// Decode a dense 16×16 matrix.
-///
-/// # Errors
-///
-/// A human-readable message for malformed input.
-pub fn mat16_from_value(value: &Value) -> Result<Mat16, String> {
-    let v = c64s_from_value(value, 256)?;
-    let mut m = Mat16::default();
-    for (r, row) in m.0.iter_mut().enumerate() {
-        row.copy_from_slice(&v[r * 16..r * 16 + 16]);
-    }
-    Ok(m)
-}
-
-/// Encode a dense 32×32 matrix (row-major flat complex list).
-pub fn mat32_to_value(m: &Mat32) -> Value {
-    c64s_to_value(m.0.iter().flatten())
-}
-
-/// Decode a dense 32×32 matrix.
-///
-/// # Errors
-///
-/// A human-readable message for malformed input.
-pub fn mat32_from_value(value: &Value) -> Result<Mat32, String> {
-    let v = c64s_from_value(value, 1024)?;
-    let mut m = Mat32::default();
-    for (r, row) in m.0.iter_mut().enumerate() {
-        row.copy_from_slice(&v[r * 32..r * 32 + 32]);
-    }
-    Ok(m)
+    Ok(rows)
 }
 
 /// Encode a coalesced diagonal run as
@@ -414,55 +333,35 @@ pub fn diag_run_from_value(value: &Value) -> Result<DiagRun, String> {
 
 // ---------------------------------------------------------- window codec
 
-/// Encode a fused-op window (a plan head or tail) as an array of tagged op
-/// objects. Pristine single-gate ops (`src` present) are sent as their
-/// source gate so the worker replays them through the same specialised
-/// kernel the single-node [`tqsim_statevec::apply_window_amps`] uses —
+/// Encode a fused-op window (a plan head or tail, or a single op) as an
+/// array of tagged op objects: `{"k":"g"}` gates, `{"k":"m"}` dense
+/// matrices of any width (the qubit count picks the width), `{"k":"d"}`
+/// diagonal runs. Pristine single-gate ops (`src` present) are sent as
+/// their source gate so the worker replays them through the same
+/// specialised kernel [`tqsim_statevec::apply_window_amps`] uses —
 /// bit-identical application by construction.
 pub fn window_to_value(window: &[FusedOp]) -> Value {
+    let gate = |g: &Gate| obj(vec![("k", str_val("g")), ("g", gate_to_value(g))]);
+    let dense = |qs: &[u16], m: Value| {
+        let qs = qs.iter().map(|&q| num_u64(u64::from(q))).collect();
+        obj(vec![("k", str_val("m")), ("qs", Value::Arr(qs)), ("m", m)])
+    };
     let ops = window
         .iter()
         .map(|op| match op {
-            FusedOp::Unitary1 { src: Some(g), .. } | FusedOp::Passthrough(g) => {
-                obj(vec![("k", str_val("g")), ("g", gate_to_value(g))])
-            }
-            FusedOp::Unitary1 { q, m, src: None } => obj(vec![
-                ("k", str_val("m1")),
-                ("q", num_u64(u64::from(*q))),
-                ("m", mat2_to_value(m)),
-            ]),
-            FusedOp::Unitary2 { src: Some(g), .. } => {
-                obj(vec![("k", str_val("g")), ("g", gate_to_value(g))])
-            }
+            FusedOp::Unitary1 { src: Some(g), .. }
+            | FusedOp::Unitary2 { src: Some(g), .. }
+            | FusedOp::Passthrough(g) => gate(g),
+            FusedOp::Unitary1 { q, m, src: None } => dense(&[*q], mat_to_value(&m.0)),
             FusedOp::Unitary2 {
                 q_hi,
                 q_lo,
                 m,
                 src: None,
-            } => obj(vec![
-                ("k", str_val("m2")),
-                ("hi", num_u64(u64::from(*q_hi))),
-                ("lo", num_u64(u64::from(*q_lo))),
-                ("m", mat4_to_value(m)),
-            ]),
-            FusedOp::Unitary3 { q2, q1, q0, m } => obj(vec![
-                ("k", str_val("m3")),
-                (
-                    "qs",
-                    Value::Arr([q2, q1, q0].map(|&q| num_u64(u64::from(q))).to_vec()),
-                ),
-                ("m", mat8_to_value(m)),
-            ]),
-            FusedOp::Unitary4 { qs, m } => obj(vec![
-                ("k", str_val("m4")),
-                ("qs", Value::Arr(qs.map(|q| num_u64(u64::from(q))).to_vec())),
-                ("m", mat16_to_value(m)),
-            ]),
-            FusedOp::Unitary5 { qs, m } => obj(vec![
-                ("k", str_val("m5")),
-                ("qs", Value::Arr(qs.map(|q| num_u64(u64::from(q))).to_vec())),
-                ("m", mat32_to_value(m)),
-            ]),
+            } => dense(&[*q_hi, *q_lo], mat_to_value(&m.0)),
+            FusedOp::Unitary3 { q2, q1, q0, m } => dense(&[*q2, *q1, *q0], mat_to_value(&m.0)),
+            FusedOp::Unitary4 { qs, m } => dense(qs, mat_to_value(&m.0)),
+            FusedOp::Unitary5 { qs, m } => dense(qs, mat_to_value(&m.0)),
             FusedOp::FusedDiag(run) => {
                 obj(vec![("k", str_val("d")), ("r", diag_run_to_value(run))])
             }
@@ -477,91 +376,62 @@ pub fn window_to_value(window: &[FusedOp]) -> Value {
 ///
 /// A human-readable message for malformed input.
 pub fn window_from_value(value: &Value) -> Result<Vec<FusedOp>, String> {
-    let qs_of = |op: &Value, n: usize| -> Result<Vec<u16>, String> {
-        let arr = op
-            .get("qs")
-            .and_then(Value::as_arr)
-            .ok_or("window op: no qs")?;
-        if arr.len() != n {
-            return Err(format!("window op: expected {n} qubits"));
-        }
-        arr.iter()
-            .map(|v| {
-                v.as_u64()
-                    .and_then(|q| u16::try_from(q).ok())
-                    .ok_or("window op: bad qubit".to_string())
-            })
-            .collect()
-    };
-    fn m_of(op: &Value) -> Result<&Value, String> {
-        op.get("m").ok_or_else(|| "window op: no m".to_string())
-    }
     value
         .as_arr()
         .ok_or("window is not an array")?
         .iter()
         .map(|op| {
-            let kind = op
-                .get("k")
-                .and_then(Value::as_str)
-                .ok_or("window op lacks a kind")?;
-            Ok(match kind {
-                "g" => {
-                    FusedOp::Passthrough(gate_from_value(op.get("g").ok_or("window op: no g")?)?)
-                }
-                "m1" => FusedOp::Unitary1 {
-                    q: op
-                        .get("q")
-                        .and_then(Value::as_u64)
-                        .and_then(|q| u16::try_from(q).ok())
-                        .ok_or("window op: bad q")?,
-                    m: mat2_from_value(m_of(op)?)?,
-                    src: None,
-                },
-                "m2" => {
-                    let q = |key: &str| {
-                        op.get(key)
-                            .and_then(Value::as_u64)
-                            .and_then(|q| u16::try_from(q).ok())
-                            .ok_or(format!("window op: bad {key}"))
-                    };
-                    FusedOp::Unitary2 {
-                        q_hi: q("hi")?,
-                        q_lo: q("lo")?,
-                        m: mat4_from_value(m_of(op)?)?,
-                        src: None,
-                    }
-                }
-                "m3" => {
-                    let qs = qs_of(op, 3)?;
-                    FusedOp::Unitary3 {
-                        q2: qs[0],
-                        q1: qs[1],
-                        q0: qs[2],
-                        m: Box::new(mat8_from_value(m_of(op)?)?),
-                    }
-                }
-                "m4" => {
-                    let qs = qs_of(op, 4)?;
-                    FusedOp::Unitary4 {
-                        qs: [qs[0], qs[1], qs[2], qs[3]],
-                        m: Box::new(mat16_from_value(m_of(op)?)?),
-                    }
-                }
-                "m5" => {
-                    let qs = qs_of(op, 5)?;
-                    FusedOp::Unitary5 {
-                        qs: [qs[0], qs[1], qs[2], qs[3], qs[4]],
-                        m: Box::new(mat32_from_value(m_of(op)?)?),
-                    }
-                }
-                "d" => {
-                    FusedOp::FusedDiag(diag_run_from_value(op.get("r").ok_or("window op: no r")?)?)
-                }
-                other => return Err(format!("unknown window op kind {other:?}")),
-            })
+            let field = |key: &str| op.get(key).ok_or(format!("window op: no {key}"));
+            match op.get("k").and_then(Value::as_str) {
+                Some("g") => Ok(FusedOp::Passthrough(gate_from_value(field("g")?)?)),
+                Some("m") => dense_from_value(field("qs")?, field("m")?),
+                Some("d") => Ok(FusedOp::FusedDiag(diag_run_from_value(field("r")?)?)),
+                other => Err(format!("unknown window op kind {other:?}")),
+            }
         })
         .collect()
+}
+
+/// Decode one dense window op; its qubit count picks the matrix width.
+fn dense_from_value(qs: &Value, m: &Value) -> Result<FusedOp, String> {
+    let qs: Vec<u16> = qs
+        .as_arr()
+        .ok_or("window op: qs is not an array")?
+        .iter()
+        .map(|v| {
+            v.as_u64()
+                .and_then(|q| u16::try_from(q).ok())
+                .ok_or("window op: bad qubit".to_string())
+        })
+        .collect::<Result<_, _>>()?;
+    Ok(match qs[..] {
+        [q] => FusedOp::Unitary1 {
+            q,
+            m: Mat2(mat_from_value(m)?),
+            src: None,
+        },
+        [q_hi, q_lo] => FusedOp::Unitary2 {
+            q_hi,
+            q_lo,
+            m: Mat4(mat_from_value(m)?),
+            src: None,
+        },
+        [q2, q1, q0] => FusedOp::Unitary3 {
+            q2,
+            q1,
+            q0,
+            m: Box::new(Mat8(mat_from_value(m)?)),
+        },
+        [a, b, c, d] => FusedOp::Unitary4 {
+            qs: [a, b, c, d],
+            m: Box::new(Mat16(mat_from_value(m)?)),
+        },
+        [a, b, c, d, e] => FusedOp::Unitary5 {
+            qs: [a, b, c, d, e],
+            m: Box::new(Mat32(mat_from_value(m)?)),
+        },
+        _ => return Err(format!("window op: {} dense qubits", qs.len())),
+    })
 }
 
 #[cfg(test)]
@@ -589,13 +459,14 @@ mod tests {
     #[test]
     fn dense_unitaries_round_trip_bit_exactly() {
         let m2 = GateKind::Sw.matrix1().unwrap();
-        let v = mat2_to_value(&m2);
+        let v = mat_to_value(&m2.0);
         let text = v.to_json();
-        let back = mat2_from_value(&tqsim_json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back.0, m2.0, "shortest-round-trip floats must be exact");
+        let back: [[C64; 2]; 2] = mat_from_value(&tqsim_json::parse(&text).unwrap()).unwrap();
+        assert_eq!(back, m2.0, "shortest-round-trip floats must be exact");
         let m4 = GateKind::FSim(0.777, -1.3).matrix2().unwrap();
-        let back4 = mat4_from_value(&tqsim_json::parse(&mat4_to_value(&m4).to_json()).unwrap());
-        assert_eq!(back4.unwrap().0, m4.0);
+        let back4: Result<[[C64; 4]; 4], _> =
+            mat_from_value(&tqsim_json::parse(&mat_to_value(&m4.0).to_json()).unwrap());
+        assert_eq!(back4.unwrap(), m4.0);
     }
 
     #[test]
@@ -616,13 +487,13 @@ mod tests {
         // row carries non-trivial values.
         let m4 = GateKind::FSim(0.777, -1.3).matrix2().unwrap();
         let m16 = Mat16::from_mat4(&m4, 3, 1).mul(&Mat16::from_mat4(&m4, 2, 0));
-        let back16 =
-            mat16_from_value(&tqsim_json::parse(&mat16_to_value(&m16).to_json()).unwrap()).unwrap();
-        assert_eq!(back16.0, m16.0, "mat16 must round-trip bit-exactly");
+        let back16: [[C64; 16]; 16] =
+            mat_from_value(&tqsim_json::parse(&mat_to_value(&m16.0).to_json()).unwrap()).unwrap();
+        assert_eq!(back16, m16.0, "mat16 must round-trip bit-exactly");
         let m32 = Mat32::from_mat16(&m16, [0, 2, 3, 4]);
-        let back32 =
-            mat32_from_value(&tqsim_json::parse(&mat32_to_value(&m32).to_json()).unwrap()).unwrap();
-        assert_eq!(back32.0, m32.0, "mat32 must round-trip bit-exactly");
+        let back32: [[C64; 32]; 32] =
+            mat_from_value(&tqsim_json::parse(&mat_to_value(&m32.0).to_json()).unwrap()).unwrap();
+        assert_eq!(back32, m32.0, "mat32 must round-trip bit-exactly");
 
         let mut run = DiagRun::new();
         run.push1(2, GateKind::T.diag1().unwrap());
@@ -638,6 +509,12 @@ mod tests {
                 q_lo: 1,
                 m: m4,
                 src: None,
+            },
+            FusedOp::Unitary3 {
+                q2: 4,
+                q1: 2,
+                q0: 0,
+                m: Box::new(Mat8::from_mat4(&m4, 2, 0).mul(&Mat8::from_mat4(&m4, 1, 0))),
             },
             FusedOp::Unitary4 {
                 qs: [4, 3, 1, 0],

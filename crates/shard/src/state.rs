@@ -1,25 +1,44 @@
-//! The multi-process distributed state: coordinator-side twin of
-//! [`tqsim_cluster::DistributedStateVector`].
+//! The multi-process transport: node slices held by shard worker
+//! processes, driven over TCP.
 //!
-//! A [`ShardedStateVector`] owns no amplitudes — worker processes hold the
-//! node slices — but it owns **everything that must be deterministic**:
-//! the global↔local remap decisions (the shared
-//! [`tqsim_cluster::LayoutTracker`]), every counter, the interconnect
-//! pricing, and the chained floating-point reductions for norms, marginals
-//! and sampling. Each operation mirrors the in-process implementation
-//! decision for decision and addition for addition, so the two backends
-//! produce bit-identical amplitudes, `Counts`, and (deterministic) counter
-//! values; only `measured_exchange_seconds` differs, because here it times
-//! real TCP round-trips.
+//! [`ShardSlices`] owns no amplitudes — the workers hold the slices — and
+//! makes no decision: the shared [`tqsim_cluster::Distributed`] core owns
+//! the layout, the counters, the pricing and the rank-ordered folds, and
+//! drives the verbs below. Each verb becomes one control message per
+//! worker, and the worker runs the matching [`tqsim_cluster::slices`]
+//! function, so this backend and the in-process one agree bit for bit;
+//! only `measured_exchange_seconds` differs, because here it times real
+//! TCP round-trips.
 
 use crate::cluster::{ClusterLink, ShardCluster};
-use std::sync::Arc;
-use std::time::Instant;
-use tqsim_circuit::math::{Mat16, Mat2, Mat32, Mat4, Mat8, C64};
-use tqsim_circuit::Gate;
-use tqsim_cluster::{ClusterCounters, ClusterObs, DensePlan, InterconnectModel, LayoutTracker};
+use std::io;
+use std::sync::{Arc, MutexGuard};
+use tqsim_circuit::math::C64;
+use tqsim_cluster::slices::Cursor;
+use tqsim_cluster::{Distributed, DistributedBackend, Link, LinkMut, Spawn, Transport};
 use tqsim_json::{num, num_u64, obj, str_val, Value};
-use tqsim_statevec::{window_span, DiagRun, FusedOp, QuantumState, StateVector};
+use tqsim_statevec::FusedOp;
+
+/// A pure state sliced across shard worker **processes**.
+pub type ShardedStateVector = Distributed<ShardSlices>;
+
+/// A pooled-execution backend whose states are sliced across shard worker
+/// **processes** (spawned with [`DistributedBackend::spawn`]).
+pub type ShardBackend = DistributedBackend<ShardSlices>;
+
+/// One state's slices on a live [`ShardCluster`], named by a
+/// coordinator-wide slice id. Dropping it frees the slices.
+pub struct ShardSlices {
+    cluster: Arc<ShardCluster>,
+    sid: u64,
+}
+
+/// One acquisition of the cluster transport on behalf of one state: every
+/// verb sent through it reaches the workers as one uninterrupted sequence.
+pub struct ShardLink<'a> {
+    link: MutexGuard<'a, ClusterLink>,
+    sid: u64,
+}
 
 fn verb(name: &str, fields: Vec<(&str, Value)>) -> Value {
     let mut all = vec![("v", str_val(name))];
@@ -27,492 +46,214 @@ fn verb(name: &str, fields: Vec<(&str, Value)>) -> Value {
     obj(all)
 }
 
-/// A pure state sliced across shard worker **processes**, driven over TCP.
-pub struct ShardedStateVector {
-    cluster: Arc<ShardCluster>,
-    sid: u64,
-    n_qubits: u16,
-    g: u16,
-    local_n: u16,
-    model: InterconnectModel,
-    /// Operation counters, including modeled cluster time — deterministic
-    /// fields are bit-identical to the in-process backend's for the same
-    /// op stream.
-    pub counters: ClusterCounters,
-    obs: Option<Arc<ClusterObs>>,
-    batching: bool,
-    layout: LayoutTracker,
+fn complex_pair(a: C64, b: C64) -> Value {
+    crate::proto::c64s_to_value([&a, &b])
 }
 
-impl ShardedStateVector {
-    /// Allocate `|0…0⟩` across `cluster`'s workers.
-    ///
-    /// # Errors
-    ///
-    /// [`tqsim_cluster::ClusterError`] unless the worker count is a power
-    /// of two with at least 3 qubits node-local.
-    ///
-    /// # Panics
-    ///
-    /// On transport faults.
-    pub fn zero(
-        cluster: Arc<ShardCluster>,
-        n_qubits: u16,
-        model: InterconnectModel,
-    ) -> Result<Self, tqsim_cluster::ClusterError> {
-        let n_nodes = cluster.n_workers();
-        tqsim_cluster::check_layout(n_qubits, n_nodes)?;
-        let g = n_nodes.trailing_zeros() as u16;
-        let local_n = n_qubits - g;
-        let sid = cluster.next_sid();
-        {
-            let mut link = cluster.link();
-            link.broadcast_ack(&verb(
-                "alloc",
-                vec![("sid", num_u64(sid)), ("len", num_u64(1u64 << local_n))],
-            ));
+/// Read a numeric field of a worker reply.
+fn reply_f64(reply: &Value, key: &str) -> f64 {
+    reply
+        .get(key)
+        .and_then(Value::as_f64)
+        .unwrap_or_else(|| panic!("shard transport: malformed reply (no {key:?})"))
+}
+
+impl ShardLink<'_> {
+    /// A verb on this state's slices.
+    fn msg(&self, name: &str, mut fields: Vec<(&str, Value)>) -> Value {
+        fields.insert(0, ("sid", num_u64(self.sid)));
+        verb(name, fields)
+    }
+
+    fn request(&mut self, rank: usize, name: &str, fields: Vec<(&str, Value)>) -> Value {
+        let msg = self.msg(name, fields);
+        self.link.request(rank, &msg)
+    }
+
+    fn broadcast(&mut self, name: &str, fields: Vec<(&str, Value)>) {
+        let msg = self.msg(name, fields);
+        self.link.broadcast(&msg);
+    }
+
+    fn broadcast_ack(&mut self, name: &str, fields: Vec<(&str, Value)>) {
+        let msg = self.msg(name, fields);
+        self.link.broadcast_ack(&msg);
+    }
+
+    fn walk_verb(
+        &mut self,
+        rank: usize,
+        name: &str,
+        mut fields: Vec<(&str, Value)>,
+        us: &[f64],
+        at: Option<Cursor>,
+        total: u64,
+    ) -> (Vec<u64>, Cursor) {
+        fields.push(("us", Value::Arr(us.iter().map(|&u| num(u)).collect())));
+        fields.push(("total", num_u64(total)));
+        if let Some(at) = at {
+            fields.push(("idx", num_u64(at.idx)));
+            fields.push(("acc", num(at.acc)));
         }
-        Ok(ShardedStateVector {
-            cluster,
-            sid,
-            n_qubits,
-            g,
-            local_n,
-            model,
-            counters: ClusterCounters::default(),
-            obs: None,
-            batching: false,
-            layout: LayoutTracker::new(n_qubits, local_n),
-        })
-    }
-
-    /// Number of worker processes (= simulated nodes).
-    pub fn n_nodes(&self) -> usize {
-        self.cluster.n_workers()
-    }
-
-    /// Mirror this state's communication and gate activity into `obs`.
-    pub fn observe(&mut self, obs: Arc<ClusterObs>) {
-        self.obs = Some(obs);
-    }
-
-    /// Enable/disable exchange batching (deferred dswap undos). Identical
-    /// semantics to the in-process backend: results are bit-identical
-    /// either way, only the exchange schedule changes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if swaps are currently deferred.
-    pub fn set_exchange_batching(&mut self, on: bool) {
-        assert!(
-            self.layout.is_canonical(),
-            "cannot toggle batching with deferred swaps active"
-        );
-        self.batching = on;
-    }
-
-    /// Whether exchange batching is enabled.
-    pub fn exchange_batching(&self) -> bool {
-        self.batching
-    }
-
-    /// Amplitudes held per worker.
-    pub fn slice_len(&self) -> usize {
-        1usize << self.local_n
-    }
-
-    /// Total amplitude bytes across the worker group (`2^n · 16`).
-    pub fn bytes(&self) -> usize {
-        self.slice_len() * self.n_nodes() * std::mem::size_of::<C64>()
-    }
-
-    /// Qubits that are node-local (the low `n − g`).
-    pub fn local_qubits(&self) -> u16 {
-        self.local_n
-    }
-
-    /// Gather the full state from all workers (verification / small-scale
-    /// sampling).
-    ///
-    /// # Panics
-    ///
-    /// On transport faults.
-    pub fn gather(&self) -> StateVector {
-        debug_assert!(self.layout.is_canonical(), "gather on deferred layout");
-        let mut link = self.cluster.link();
-        let mut amps = Vec::with_capacity(1usize << self.n_qubits);
-        for rank in 0..self.n_nodes() {
-            amps.extend_from_slice(&link.fetch(rank, self.sid));
-        }
-        StateVector::from_amplitudes(amps)
-    }
-
-    /// Squared 2-norm: per-worker partial sums folded in node order — the
-    /// same two-level addition tree as the in-process backend.
-    pub fn norm_sqr(&self) -> f64 {
-        let mut link = self.cluster.link();
-        self.norm_sqr_locked(&mut link)
-    }
-
-    fn norm_sqr_locked(&self, link: &mut ClusterLink) -> f64 {
-        (0..self.n_nodes())
-            .map(|rank| {
-                link.request(rank, &verb("psum", vec![("sid", num_u64(self.sid))]))
-                    .get("x")
-                    .and_then(Value::as_f64)
-                    .unwrap_or_else(|| panic!("shard transport: malformed psum reply"))
+        let reply = self.request(rank, name, fields);
+        let out = reply
+            .get("out")
+            .and_then(Value::as_arr)
+            .unwrap_or_else(|| panic!("shard transport: malformed {name} reply"))
+            .iter()
+            .map(|v| {
+                v.as_u64()
+                    .unwrap_or_else(|| panic!("shard transport: malformed {name} outcome"))
             })
-            .sum()
-    }
-
-    /// Reset to `|0…0⟩` (counters retained, like the in-process backend).
-    pub fn reset_zero(&mut self) {
-        self.layout.reset();
-        let mut link = self.cluster.link();
-        link.broadcast(&verb("reset", vec![("sid", num_u64(self.sid))]));
-        drop(link);
-        self.charge_compute_pass();
-    }
-
-    /// Overwrite with `src`'s amplitudes (worker-local memcpys; TQSim's
-    /// intermediate-state copy, same failpoint site as in-process).
-    ///
-    /// # Panics
-    ///
-    /// Panics if layouts differ, on transport faults, or on an injected
-    /// `cluster.state_copy` fault.
-    pub fn copy_from(&mut self, src: &ShardedStateVector) {
-        assert_eq!(self.n_qubits, src.n_qubits, "width mismatch");
-        assert!(
-            Arc::ptr_eq(&self.cluster, &src.cluster),
-            "states live on different shard clusters"
-        );
-        if let Err(fault) = tqsim_faults::trigger("cluster.state_copy") {
-            panic!("{fault}");
-        }
-        debug_assert!(src.layout.is_canonical(), "copy from non-canonical state");
-        self.layout.reset();
-        let mut link = self.cluster.link();
-        link.broadcast(&verb(
-            "copy",
-            vec![("dst", num_u64(self.sid)), ("src", num_u64(src.sid))],
-        ));
-        drop(link);
-        self.counters.state_copies += 1;
-        if let Some(obs) = &self.obs {
-            obs.state_copies.inc();
-        }
-        self.charge_compute_pass();
-    }
-
-    /// Whether a fused window can run worker-local at canonical positions:
-    /// every dense op (and passthrough gate) must sit below the node
-    /// boundary — diagonal runs are offset-aware and never disqualify.
-    fn window_is_local(&self, window: &[FusedOp]) -> bool {
-        window_span(window).is_none_or(|s| s < self.local_n)
-    }
-
-    /// Same fault site as the single-node fused seams, so chaos suites
-    /// exercise every backend with one failpoint name.
-    fn boundary_failpoint() {
-        if tqsim_faults::any_armed() {
-            if let Err(e) = tqsim_faults::trigger("plan.boundary") {
-                std::panic::panic_any(e);
-            }
-        }
-    }
-
-    /// Overwrite with `src`'s amplitudes **and** apply the child plan's
-    /// head window in the same worker visit (cross-boundary fusion): one
-    /// silent `capply` broadcast instead of a copy broadcast plus one
-    /// broadcast per head op. Counter-for-counter identical to
-    /// [`ShardedStateVector::copy_from`] followed by eager window
-    /// application, so cross-backend counter parity holds.
-    ///
-    /// Falls back to exactly that eager sequence when the window touches a
-    /// node-selecting qubit (dswaps cannot ride a copy).
-    ///
-    /// # Panics
-    ///
-    /// Panics if layouts differ, on transport faults, or on injected
-    /// `cluster.state_copy` / `plan.boundary` faults.
-    pub fn copy_from_apply(&mut self, src: &ShardedStateVector, head: &[FusedOp]) {
-        if head.is_empty() {
-            return self.copy_from(src);
-        }
-        if !self.window_is_local(head) {
-            // `apply_window` hits the plan.boundary failpoint itself, so
-            // both paths trigger it exactly once per fused copy.
-            self.copy_from(src);
-            tqsim_statevec::apply_window(self, head);
-            return;
-        }
-        Self::boundary_failpoint();
-        assert_eq!(self.n_qubits, src.n_qubits, "width mismatch");
-        assert!(
-            Arc::ptr_eq(&self.cluster, &src.cluster),
-            "states live on different shard clusters"
-        );
-        if let Err(fault) = tqsim_faults::trigger("cluster.state_copy") {
-            panic!("{fault}");
-        }
-        debug_assert!(src.layout.is_canonical(), "copy from non-canonical state");
-        self.layout.reset();
-        let mut link = self.cluster.link();
-        link.broadcast(&verb(
-            "capply",
-            vec![
-                ("dst", num_u64(self.sid)),
-                ("src", num_u64(src.sid)),
-                ("w", crate::proto::window_to_value(head)),
-            ],
-        ));
-        drop(link);
-        self.counters.state_copies += 1;
-        if let Some(obs) = &self.obs {
-            obs.state_copies.inc();
-        }
-        self.charge_compute_pass();
-        // Charge the window ops as the eager path would have.
-        for _ in head {
-            self.note_local_gate();
-            self.charge_compute_pass();
-        }
-    }
-
-    /// Sample one outcome given a uniform draw: the CDF walk is chained
-    /// worker to worker with a single running accumulator, replicating the
-    /// in-process backend's global-index-order addition sequence exactly.
-    pub fn sample_with(&self, u: f64) -> u64 {
-        debug_assert!(self.layout.is_canonical(), "sampling on deferred layout");
-        let mut link = self.cluster.link();
-        let mut acc = 0.0f64;
-        for rank in 0..self.n_nodes() {
-            let reply = link.request(
-                rank,
-                &verb(
-                    "pick",
-                    vec![("sid", num_u64(self.sid)), ("u", num(u)), ("acc", num(acc))],
-                ),
-            );
-            if let Some(hit) = reply.get("hit").and_then(Value::as_u64) {
-                return hit;
-            }
-            acc = reply
-                .get("x")
-                .and_then(Value::as_f64)
-                .unwrap_or_else(|| panic!("shard transport: malformed pick reply"));
-        }
-        (1u64 << self.n_qubits) - 1
-    }
-
-    /// Sample one outcome per draw: the sorted-CDF batched walk, chained
-    /// across workers with (index, accumulator) state — draw-for-draw
-    /// identical to both in-process backends.
-    pub fn sample_many(&self, us: &[f64]) -> Vec<u64> {
-        debug_assert!(self.layout.is_canonical(), "sampling on deferred layout");
-        let mut order: Vec<usize> = (0..us.len()).collect();
-        order.sort_by(|&i, &j| us[i].total_cmp(&us[j]));
-        let mut out = vec![0u64; us.len()];
-        if us.is_empty() {
-            return out;
-        }
-        let total = 1u64 << self.n_qubits;
-        let mut link = self.cluster.link();
-        let mut done = 0usize;
-        let mut idx = 0u64;
-        let mut acc = 0.0f64;
-        for rank in 0..self.n_nodes() {
-            let pending = Value::Arr(order[done..].iter().map(|&slot| num(us[slot])).collect());
-            let reply = link.request(
-                rank,
-                &verb(
-                    "walk",
-                    vec![
-                        ("sid", num_u64(self.sid)),
-                        ("us", pending),
-                        ("idx", num_u64(idx)),
-                        ("acc", num(acc)),
-                        ("total", num_u64(total)),
-                        ("init", Value::Bool(rank == 0)),
-                    ],
-                ),
-            );
-            let outcomes = reply
-                .get("out")
-                .and_then(Value::as_arr)
-                .unwrap_or_else(|| panic!("shard transport: malformed walk reply"));
-            for outcome in outcomes {
-                let oc = outcome
-                    .as_u64()
-                    .unwrap_or_else(|| panic!("shard transport: malformed walk outcome"));
-                out[order[done]] = oc;
-                done += 1;
-            }
-            if done == order.len() {
-                break;
-            }
-            idx = reply
-                .get("idx")
-                .and_then(Value::as_u64)
-                .unwrap_or_else(|| panic!("shard transport: malformed walk idx"));
-            acc = reply
-                .get("acc")
-                .and_then(Value::as_f64)
-                .unwrap_or_else(|| panic!("shard transport: malformed walk acc"));
-        }
-        debug_assert_eq!(done, order.len(), "walk chain under-consumed draws");
-        out
-    }
-
-    #[inline]
-    fn note_local_gate(&mut self) {
-        self.counters.local_gates += 1;
-        if let Some(obs) = &self.obs {
-            obs.local_gates.inc();
-        }
-    }
-
-    #[inline]
-    fn note_remapped_gate(&mut self) {
-        self.counters.global_gates += 1;
-        if let Some(obs) = &self.obs {
-            obs.remapped_gates.inc();
-        }
-    }
-
-    fn charge_compute_pass(&mut self) {
-        let slice_len = self.slice_len() as u64;
-        self.counters.amp_ops += slice_len * self.n_nodes() as u64;
-        self.counters.simulated_seconds += self.model.compute_time(slice_len);
-    }
-
-    /// Broadcast one node-local sweep verb and charge a compute pass —
-    /// the transport twin of the in-process `each_node`.
-    fn each_node(&mut self, value: &Value) {
-        let mut link = self.cluster.link();
-        link.broadcast(value);
-        drop(link);
-        self.charge_compute_pass();
-    }
-
-    /// One distributed swap across all workers: broadcast + acks under a
-    /// single lock (so every worker pairs up on the same exchange), with
-    /// the round-trip wall-clock recorded as measured exchange time.
-    fn dswap(&mut self, gb: u16, lq: u16) {
-        debug_assert!(gb < self.g && lq < self.local_n);
-        // Same fault site as the in-process exchange, so chaos suites
-        // exercise both backends with one failpoint name.
-        if let Err(fault) = tqsim_faults::trigger("cluster.exchange") {
-            panic!("{fault}");
-        }
-        let start = Instant::now();
-        {
-            let mut link = self.cluster.link();
-            link.broadcast_ack(&verb(
-                "dswap",
-                vec![
-                    ("sid", num_u64(self.sid)),
-                    ("gb", num_u64(u64::from(gb))),
-                    ("lq", num_u64(u64::from(lq))),
-                ],
-            ));
-        }
-        let measured = start.elapsed().as_secs_f64();
-        let half_bytes = (self.slice_len() / 2 * 16) as u64;
-        let simulated = self.model.exchange_time(half_bytes);
-        let total_bytes = half_bytes * self.n_nodes() as u64;
-        self.counters.exchanges += 1;
-        self.counters.bytes_exchanged += total_bytes;
-        self.counters.simulated_seconds += simulated;
-        self.counters.measured_exchange_seconds += measured;
-        if let Some(obs) = &self.obs {
-            obs.note_exchange(total_bytes, measured, simulated);
-        }
-    }
-
-    /// Distributed-swap every global operand down to a scratch local qubit
-    /// (the eager remap; same scratch-selection rule as in-process).
-    fn remap_to_local(&mut self, qubits: &[u16]) -> (Vec<u16>, Vec<(u16, u16)>) {
-        let local_n = self.local_n;
-        let mut qubits = qubits.to_vec();
-        let mut scratch: Vec<u16> = (0..local_n)
-            .rev()
-            .filter(|q| !qubits.contains(q))
-            .take(qubits.len())
             .collect();
-        let mut swaps: Vec<(u16, u16)> = Vec::new();
-        for q in qubits.iter_mut() {
-            if *q >= local_n {
-                let dst = scratch
-                    .pop()
-                    .expect("layout check guarantees >= 3 local qubits");
-                let gb = *q - local_n;
-                self.dswap(gb, dst);
-                swaps.push((gb, dst));
-                *q = dst;
-            }
-        }
-        (qubits, swaps)
-    }
-
-    fn undo_remap(&mut self, swaps: &[(u16, u16)]) {
-        for &(gb, dst) in swaps.iter().rev() {
-            self.dswap(gb, dst);
-        }
-    }
-
-    /// Batched-mode dense dispatch: the same [`LayoutTracker`] decision
-    /// procedure as the in-process backend, with `make` building the
-    /// node-local sweep verb for the physical operand positions.
-    fn apply_batched<F>(&mut self, qs: &[u16], make: F)
-    where
-        F: Fn(&[u16]) -> Value,
-    {
-        let logically_local = qs.iter().all(|&q| q < self.local_n);
-        let phys = match self.layout.decide_dense(qs) {
-            DensePlan::InPlace { phys } => phys,
-            DensePlan::FlushThenLocal { undo } => {
-                for &(gb, dst) in &undo {
-                    self.dswap(gb, dst);
-                }
-                qs.to_vec()
-            }
-            DensePlan::FlushThenRemap { undo, swaps, phys } => {
-                for &(gb, dst) in undo.iter().chain(swaps.iter()) {
-                    self.dswap(gb, dst);
-                }
-                phys
-            }
-        };
-        self.each_node(&make(&phys));
-        if logically_local {
-            self.note_local_gate();
-        } else {
-            self.note_remapped_gate();
-        }
-    }
-
-    fn flush_layout(&mut self) {
-        if !self.layout.is_canonical() {
-            for (gb, dst) in self.layout.decide_sync() {
-                self.dswap(gb, dst);
-            }
-        }
-    }
-
-    fn gate_verb(&self, gate: &Gate) -> Value {
-        verb(
-            "gate",
-            vec![
-                ("sid", num_u64(self.sid)),
-                ("g", crate::proto::gate_to_value(gate)),
-            ],
+        let idx = reply
+            .get("idx")
+            .and_then(Value::as_u64)
+            .unwrap_or_else(|| panic!("shard transport: malformed {name} idx"));
+        (
+            out,
+            Cursor {
+                idx,
+                acc: reply_f64(&reply, "acc"),
+            },
         )
     }
 }
 
-impl Drop for ShardedStateVector {
+impl Link for ShardLink<'_> {
+    fn psum(&mut self, rank: usize) -> f64 {
+        reply_f64(&self.request(rank, "psum", vec![]), "x")
+    }
+
+    fn msum(&mut self, rank: usize, q: u16, acc: f64) -> f64 {
+        let fields = vec![("q", num_u64(q.into())), ("acc", num(acc))];
+        reply_f64(&self.request(rank, "msum", fields), "x")
+    }
+
+    fn pick(&mut self, rank: usize, u: f64, acc: f64) -> Result<u64, f64> {
+        let reply = self.request(rank, "pick", vec![("u", num(u)), ("acc", num(acc))]);
+        reply
+            .get("hit")
+            .and_then(Value::as_u64)
+            .ok_or_else(|| reply_f64(&reply, "x"))
+    }
+
+    fn walk(
+        &mut self,
+        rank: usize,
+        us: &[f64],
+        at: Option<Cursor>,
+        total: u64,
+    ) -> (Vec<u64>, Cursor) {
+        self.walk_verb(rank, "walk", vec![], us, at, total)
+    }
+
+    fn fetch(&mut self, rank: usize, out: &mut Vec<C64>) {
+        out.extend(self.link.fetch(rank, self.sid));
+    }
+}
+
+impl LinkMut for ShardLink<'_> {
+    fn reset(&mut self) {
+        self.broadcast("reset", vec![]);
+    }
+
+    fn apply(&mut self, window: &[FusedOp]) {
+        self.broadcast("apply", vec![("w", crate::proto::window_to_value(window))]);
+    }
+
+    fn apply_rank(&mut self, rank: usize, window: &[FusedOp]) {
+        let msg = self.msg("apply", vec![("w", crate::proto::window_to_value(window))]);
+        self.link.send(rank, &msg);
+    }
+
+    fn antidiag(&mut self, q: u16, a01: C64, a10: C64) {
+        let fields = vec![("q", num_u64(q.into())), ("a", complex_pair(a01, a10))];
+        self.broadcast("antidiag", fields);
+    }
+
+    fn scale(&mut self, s: f64) {
+        self.broadcast("scale", vec![("s", num(s))]);
+    }
+
+    fn dswap(&mut self, gb: u16, lq: u16) {
+        let fields = vec![("gb", num_u64(gb.into())), ("lq", num_u64(lq.into()))];
+        self.broadcast_ack("dswap", fields);
+    }
+
+    fn antidiag_global(&mut self, gb: u16, a01: C64, a10: C64) {
+        let fields = vec![("gb", num_u64(gb.into())), ("a", complex_pair(a01, a10))];
+        self.broadcast_ack("antidiag_g", fields);
+    }
+
+    fn fwalk(
+        &mut self,
+        rank: usize,
+        window: &[FusedOp],
+        us: &[f64],
+        at: Option<Cursor>,
+        total: u64,
+    ) -> (Vec<u64>, Cursor) {
+        let w = vec![("w", crate::proto::window_to_value(window))];
+        self.walk_verb(rank, "fwalk", w, us, at, total)
+    }
+}
+
+impl Transport for ShardSlices {
+    type Group = Arc<ShardCluster>;
+    type Link<'a> = ShardLink<'a>;
+    type LinkMut<'a> = ShardLink<'a>;
+
+    fn group_nodes(cluster: &Arc<ShardCluster>) -> usize {
+        cluster.n_workers()
+    }
+
+    fn alloc(cluster: &Arc<ShardCluster>, slice_len: usize) -> Self {
+        let sid = cluster.next_sid();
+        cluster.link().broadcast_ack(&verb(
+            "alloc",
+            vec![("sid", num_u64(sid)), ("len", num_u64(slice_len as u64))],
+        ));
+        ShardSlices {
+            cluster: Arc::clone(cluster),
+            sid,
+        }
+    }
+
+    fn link(&self) -> ShardLink<'_> {
+        ShardLink {
+            link: self.cluster.link(),
+            sid: self.sid,
+        }
+    }
+
+    fn link_mut(&mut self) -> ShardLink<'_> {
+        self.link()
+    }
+
+    fn copy_apply(&mut self, src: &Self, window: &[FusedOp]) {
+        assert!(
+            Arc::ptr_eq(&self.cluster, &src.cluster),
+            "states live on different shard clusters"
+        );
+        let mut fields = vec![("dst", num_u64(self.sid)), ("src", num_u64(src.sid))];
+        let name = if window.is_empty() {
+            "copy"
+        } else {
+            fields.push(("w", crate::proto::window_to_value(window)));
+            "capply"
+        };
+        self.cluster.link().broadcast(&verb(name, fields));
+    }
+}
+
+impl Spawn for ShardSlices {
+    fn spawn(n_workers: usize) -> io::Result<Arc<ShardCluster>> {
+        Ok(Arc::new(ShardCluster::spawn(n_workers)?))
+    }
+}
+
+impl Drop for ShardSlices {
     fn drop(&mut self) {
         // Best-effort: freeing a slice on a dead/killed cluster is fine to
         // skip — the workers are gone with their memory.
@@ -521,483 +262,5 @@ impl Drop for ShardedStateVector {
         for rank in 0..self.cluster.n_workers() {
             let _ = link.try_send(rank, &free);
         }
-    }
-}
-
-impl QuantumState for ShardedStateVector {
-    fn n_qubits(&self) -> u16 {
-        self.n_qubits
-    }
-
-    fn apply_gate(&mut self, gate: &Gate) {
-        for &q in gate.qubits() {
-            assert!(q < self.n_qubits, "gate {gate} out of range");
-        }
-        if self.batching {
-            let kind = *gate.kind();
-            let sid = self.sid;
-            self.apply_batched(gate.qubits(), move |ps| {
-                verb(
-                    "gate",
-                    vec![
-                        ("sid", num_u64(sid)),
-                        ("g", crate::proto::gate_to_value(&Gate::new(kind, ps))),
-                    ],
-                )
-            });
-            return;
-        }
-        if gate.qubits().iter().all(|&q| q < self.local_n) {
-            let v = self.gate_verb(gate);
-            self.each_node(&v);
-            self.note_local_gate();
-        } else {
-            let (qubits, swaps) = self.remap_to_local(gate.qubits());
-            let v = self.gate_verb(&Gate::new(*gate.kind(), &qubits));
-            self.each_node(&v);
-            self.undo_remap(&swaps);
-            self.note_remapped_gate();
-        }
-    }
-
-    fn apply_mat2(&mut self, q: u16, m: &Mat2) {
-        assert!(q < self.n_qubits, "qubit out of range");
-        let mk = |sid: u64, ps: &[u16], m: &Mat2| {
-            verb(
-                "mat2",
-                vec![
-                    ("sid", num_u64(sid)),
-                    ("q", num_u64(u64::from(ps[0]))),
-                    ("m", crate::proto::mat2_to_value(m)),
-                ],
-            )
-        };
-        if self.batching {
-            let sid = self.sid;
-            let m = *m;
-            self.apply_batched(&[q], move |ps| mk(sid, ps, &m));
-            return;
-        }
-        if q < self.local_n {
-            let v = mk(self.sid, &[q], m);
-            self.each_node(&v);
-            self.note_local_gate();
-        } else {
-            let (qs, swaps) = self.remap_to_local(&[q]);
-            let v = mk(self.sid, &qs, m);
-            self.each_node(&v);
-            self.undo_remap(&swaps);
-            self.note_remapped_gate();
-        }
-    }
-
-    fn apply_mat4(&mut self, q_hi: u16, q_lo: u16, m: &Mat4) {
-        assert!(
-            q_hi < self.n_qubits && q_lo < self.n_qubits,
-            "qubit out of range"
-        );
-        let mk = |sid: u64, ps: &[u16], m: &Mat4| {
-            verb(
-                "mat4",
-                vec![
-                    ("sid", num_u64(sid)),
-                    ("hi", num_u64(u64::from(ps[0]))),
-                    ("lo", num_u64(u64::from(ps[1]))),
-                    ("m", crate::proto::mat4_to_value(m)),
-                ],
-            )
-        };
-        if self.batching {
-            let sid = self.sid;
-            let m = *m;
-            self.apply_batched(&[q_hi, q_lo], move |ps| mk(sid, ps, &m));
-            return;
-        }
-        if q_hi < self.local_n && q_lo < self.local_n {
-            let v = mk(self.sid, &[q_hi, q_lo], m);
-            self.each_node(&v);
-            self.note_local_gate();
-        } else {
-            let (qs, swaps) = self.remap_to_local(&[q_hi, q_lo]);
-            let v = mk(self.sid, &qs, m);
-            self.each_node(&v);
-            self.undo_remap(&swaps);
-            self.note_remapped_gate();
-        }
-    }
-
-    fn apply_mat8(&mut self, q2: u16, q1: u16, q0: u16, m: &Mat8) {
-        assert!(
-            q2 < self.n_qubits && q1 < self.n_qubits && q0 < self.n_qubits,
-            "qubit out of range"
-        );
-        let mk = |sid: u64, ps: &[u16], m: &Mat8| {
-            verb(
-                "mat8",
-                vec![
-                    ("sid", num_u64(sid)),
-                    ("q2", num_u64(u64::from(ps[0]))),
-                    ("q1", num_u64(u64::from(ps[1]))),
-                    ("q0", num_u64(u64::from(ps[2]))),
-                    ("m", crate::proto::mat8_to_value(m)),
-                ],
-            )
-        };
-        if self.batching {
-            let sid = self.sid;
-            let m = *m;
-            self.apply_batched(&[q2, q1, q0], move |ps| mk(sid, ps, &m));
-            return;
-        }
-        if q2 < self.local_n && q1 < self.local_n && q0 < self.local_n {
-            let v = mk(self.sid, &[q2, q1, q0], m);
-            self.each_node(&v);
-            self.note_local_gate();
-        } else {
-            let (qs, swaps) = self.remap_to_local(&[q2, q1, q0]);
-            let v = mk(self.sid, &qs, m);
-            self.each_node(&v);
-            self.undo_remap(&swaps);
-            self.note_remapped_gate();
-        }
-    }
-
-    fn apply_mat16(&mut self, qs: [u16; 4], m: &Mat16) {
-        assert!(qs.iter().all(|&q| q < self.n_qubits), "qubit out of range");
-        assert!(
-            self.local_n >= 4,
-            "4-qubit fusion clusters need >= 4 node-local qubits \
-             (n_qubits >= log2(workers) + 4); lower max_fuse_qubits"
-        );
-        let mk = |sid: u64, ps: &[u16], m: &Mat16| {
-            verb(
-                "mat16",
-                vec![
-                    ("sid", num_u64(sid)),
-                    (
-                        "qs",
-                        Value::Arr(ps.iter().map(|&q| num_u64(u64::from(q))).collect()),
-                    ),
-                    ("m", crate::proto::mat16_to_value(m)),
-                ],
-            )
-        };
-        if self.batching {
-            let sid = self.sid;
-            self.apply_batched(&qs, move |ps| mk(sid, ps, m));
-            return;
-        }
-        if qs.iter().all(|&q| q < self.local_n) {
-            let v = mk(self.sid, &qs, m);
-            self.each_node(&v);
-            self.note_local_gate();
-        } else {
-            let (remapped, swaps) = self.remap_to_local(&qs);
-            let v = mk(self.sid, &remapped, m);
-            self.each_node(&v);
-            self.undo_remap(&swaps);
-            self.note_remapped_gate();
-        }
-    }
-
-    fn apply_mat32(&mut self, qs: [u16; 5], m: &Mat32) {
-        assert!(qs.iter().all(|&q| q < self.n_qubits), "qubit out of range");
-        assert!(
-            self.local_n >= 5,
-            "5-qubit fusion clusters need >= 5 node-local qubits \
-             (n_qubits >= log2(workers) + 5); lower max_fuse_qubits"
-        );
-        let mk = |sid: u64, ps: &[u16], m: &Mat32| {
-            verb(
-                "mat32",
-                vec![
-                    ("sid", num_u64(sid)),
-                    (
-                        "qs",
-                        Value::Arr(ps.iter().map(|&q| num_u64(u64::from(q))).collect()),
-                    ),
-                    ("m", crate::proto::mat32_to_value(m)),
-                ],
-            )
-        };
-        if self.batching {
-            let sid = self.sid;
-            self.apply_batched(&qs, move |ps| mk(sid, ps, m));
-            return;
-        }
-        if qs.iter().all(|&q| q < self.local_n) {
-            let v = mk(self.sid, &qs, m);
-            self.each_node(&v);
-            self.note_local_gate();
-        } else {
-            let (remapped, swaps) = self.remap_to_local(&qs);
-            let v = mk(self.sid, &remapped, m);
-            self.each_node(&v);
-            self.undo_remap(&swaps);
-            self.note_remapped_gate();
-        }
-    }
-
-    fn apply_diag_run(&mut self, run: &DiagRun) {
-        // Same flush rule as in-process: diagonal sweeps read canonical
-        // bit positions, so a run touching displaced qubits flushes first.
-        if self.batching
-            && !(self
-                .layout
-                .is_identity_on(run.terms1().iter().map(|(q, _)| q))
-                && self
-                    .layout
-                    .is_identity_on(run.terms2().iter().flat_map(|(a, b, _)| [a, b])))
-        {
-            self.flush_layout();
-        }
-        let mut v = crate::proto::diag_run_to_value(run);
-        if let Value::Obj(fields) = &mut v {
-            fields.insert(0, ("v".to_string(), str_val("diagrun")));
-            fields.insert(1, ("sid".to_string(), num_u64(self.sid)));
-        }
-        self.each_node(&v);
-        self.note_local_gate();
-    }
-
-    fn marginal_one(&self, q: u16) -> f64 {
-        assert!(q < self.n_qubits, "qubit out of range");
-        debug_assert!(self.layout.is_canonical(), "marginal on deferred layout");
-        let mut link = self.cluster.link();
-        if q >= self.local_n {
-            // Node-selecting bit: per-slice sums of the masked nodes,
-            // folded in node order — as in-process.
-            let mask = 1usize << (q - self.local_n);
-            (0..self.n_nodes())
-                .filter(|rank| rank & mask != 0)
-                .map(|rank| {
-                    link.request(rank, &verb("psum", vec![("sid", num_u64(self.sid))]))
-                        .get("x")
-                        .and_then(Value::as_f64)
-                        .unwrap_or_else(|| panic!("shard transport: malformed psum reply"))
-                })
-                .sum()
-        } else {
-            // Local bit: one flat accumulator chained through the workers
-            // in node order — the in-process one-pass sum, distributed.
-            let mut acc = 0.0f64;
-            for rank in 0..self.n_nodes() {
-                acc = link
-                    .request(
-                        rank,
-                        &verb(
-                            "msum",
-                            vec![
-                                ("sid", num_u64(self.sid)),
-                                ("q", num_u64(u64::from(q))),
-                                ("acc", num(acc)),
-                            ],
-                        ),
-                    )
-                    .get("x")
-                    .and_then(Value::as_f64)
-                    .unwrap_or_else(|| panic!("shard transport: malformed msum reply"));
-            }
-            acc
-        }
-    }
-
-    fn apply_diag1(&mut self, q: u16, d0: C64, d1: C64) {
-        assert!(q < self.n_qubits, "qubit out of range");
-        self.flush_layout();
-        if q >= self.local_n {
-            let mask = 1u64 << (q - self.local_n);
-            let v = verb(
-                "scale_bit",
-                vec![
-                    ("sid", num_u64(self.sid)),
-                    ("mask", num_u64(mask)),
-                    ("d", crate::proto::c64s_to_value([&d0, &d1])),
-                ],
-            );
-            self.each_node(&v);
-        } else {
-            let v = verb(
-                "diag1",
-                vec![
-                    ("sid", num_u64(self.sid)),
-                    ("q", num_u64(u64::from(q))),
-                    ("d", crate::proto::c64s_to_value([&d0, &d1])),
-                ],
-            );
-            self.each_node(&v);
-        }
-    }
-
-    fn apply_antidiag1(&mut self, q: u16, a01: C64, a10: C64) {
-        assert!(q < self.n_qubits, "qubit out of range");
-        self.flush_layout();
-        if q >= self.local_n {
-            // Cross-node combine: an exchange round, same fault site and
-            // accounting as in-process (no compute pass charged).
-            if let Err(fault) = tqsim_faults::trigger("cluster.exchange") {
-                panic!("{fault}");
-            }
-            let start = Instant::now();
-            {
-                let step = 1u64 << (q - self.local_n);
-                let mut link = self.cluster.link();
-                link.broadcast_ack(&verb(
-                    "antidiag_g",
-                    vec![
-                        ("sid", num_u64(self.sid)),
-                        ("step", num_u64(step)),
-                        ("a", crate::proto::c64s_to_value([&a01, &a10])),
-                    ],
-                ));
-            }
-            let measured = start.elapsed().as_secs_f64();
-            let bytes = (self.slice_len() * 16) as u64;
-            let simulated = self.model.exchange_time(bytes);
-            let total_bytes = bytes * self.n_nodes() as u64;
-            self.counters.exchanges += 1;
-            self.counters.bytes_exchanged += total_bytes;
-            self.counters.simulated_seconds += simulated;
-            self.counters.measured_exchange_seconds += measured;
-            if let Some(obs) = &self.obs {
-                obs.note_exchange(total_bytes, measured, simulated);
-            }
-        } else {
-            let v = verb(
-                "antidiag",
-                vec![
-                    ("sid", num_u64(self.sid)),
-                    ("q", num_u64(u64::from(q))),
-                    ("a", crate::proto::c64s_to_value([&a01, &a10])),
-                ],
-            );
-            self.each_node(&v);
-        }
-    }
-
-    fn renormalize(&mut self) {
-        self.flush_layout();
-        let mut link = self.cluster.link();
-        let n = self.norm_sqr_locked(&mut link);
-        assert!(n > 1e-300, "cannot normalise a zero state");
-        let s = 1.0 / n.sqrt();
-        link.broadcast(&verb(
-            "scale",
-            vec![("sid", num_u64(self.sid)), ("s", num(s))],
-        ));
-        drop(link);
-        self.charge_compute_pass();
-        self.counters.simulated_seconds += self.model.allreduce_time(self.n_nodes());
-    }
-
-    fn norm_sqr(&self) -> f64 {
-        ShardedStateVector::norm_sqr(self)
-    }
-
-    fn sample_with(&self, u: f64) -> u64 {
-        ShardedStateVector::sample_with(self, u)
-    }
-
-    fn sample_many(&self, us: &[f64]) -> Vec<u64> {
-        ShardedStateVector::sample_many(self, us)
-    }
-
-    /// Fused tail-window sampling over the wire: one chained `fwalk` pass
-    /// where each visited worker applies the window to its slice and then
-    /// walks the sorted CDF, so the tail never costs a separate broadcast
-    /// round. Workers the walk never reaches get a fire-and-forget
-    /// `wapply` so the state still materialises identically everywhere.
-    fn sample_fused(&mut self, window: &[FusedOp], us: &[f64]) -> Vec<u64> {
-        if window.is_empty() {
-            return self.sample_many(us);
-        }
-        if us.is_empty() || !self.layout.is_canonical() || !self.window_is_local(window) {
-            // `apply_window` hits the plan.boundary failpoint itself, so
-            // both paths trigger it exactly once per fused sample.
-            tqsim_statevec::apply_window(self, window);
-            return self.sample_many(us);
-        }
-        Self::boundary_failpoint();
-        for _ in window {
-            self.note_local_gate();
-            self.charge_compute_pass();
-        }
-        let wv = crate::proto::window_to_value(window);
-        let mut order: Vec<usize> = (0..us.len()).collect();
-        order.sort_by(|&i, &j| us[i].total_cmp(&us[j]));
-        let mut out = vec![0u64; us.len()];
-        let total = 1u64 << self.n_qubits;
-        let n_nodes = self.n_nodes();
-        let sid = self.sid;
-        let mut link = self.cluster.link();
-        let mut done = 0usize;
-        let mut idx = 0u64;
-        let mut acc = 0.0f64;
-        let mut visited = 0usize;
-        for rank in 0..n_nodes {
-            visited = rank + 1;
-            let pending = Value::Arr(order[done..].iter().map(|&slot| num(us[slot])).collect());
-            let reply = link.request(
-                rank,
-                &verb(
-                    "fwalk",
-                    vec![
-                        ("sid", num_u64(sid)),
-                        ("us", pending),
-                        ("idx", num_u64(idx)),
-                        ("acc", num(acc)),
-                        ("total", num_u64(total)),
-                        ("init", Value::Bool(rank == 0)),
-                        ("w", wv.clone()),
-                    ],
-                ),
-            );
-            let outcomes = reply
-                .get("out")
-                .and_then(Value::as_arr)
-                .unwrap_or_else(|| panic!("shard transport: malformed fwalk reply"));
-            for outcome in outcomes {
-                let oc = outcome
-                    .as_u64()
-                    .unwrap_or_else(|| panic!("shard transport: malformed fwalk outcome"));
-                out[order[done]] = oc;
-                done += 1;
-            }
-            if done == order.len() {
-                break;
-            }
-            idx = reply
-                .get("idx")
-                .and_then(Value::as_u64)
-                .unwrap_or_else(|| panic!("shard transport: malformed fwalk idx"));
-            acc = reply
-                .get("acc")
-                .and_then(Value::as_f64)
-                .unwrap_or_else(|| panic!("shard transport: malformed fwalk acc"));
-        }
-        debug_assert_eq!(done, order.len(), "fwalk chain under-consumed draws");
-        // Materialise the window on ranks the early-exit walk skipped.
-        for rank in visited..n_nodes {
-            link.send(
-                rank,
-                &verb("wapply", vec![("sid", num_u64(sid)), ("w", wv.clone())]),
-            );
-        }
-        out
-    }
-
-    fn sync_layout(&mut self) {
-        self.flush_layout();
-    }
-}
-
-impl std::fmt::Debug for ShardedStateVector {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "ShardedStateVector[{} qubits over {} worker processes]",
-            self.n_qubits,
-            self.n_nodes()
-        )
     }
 }

@@ -1,12 +1,12 @@
 //! The shard worker runtime: one OS process per simulated cluster node.
 //!
 //! A worker is deliberately *thin*. It owns the node's amplitude slices
-//! (keyed by slice id) and applies statevector kernels on command; every
-//! layout decision, counter, RNG draw and noise branch lives on the
-//! coordinator, which is what keeps the multi-process backend bit-identical
-//! to the in-process [`tqsim_cluster::DistributedStateVector`] — the worker
-//! executes exactly the per-slice arithmetic the in-process node threads
-//! would, in the same order.
+//! (keyed by slice id) and dispatches each verb into the shared
+//! [`tqsim_cluster::slices`] functions; every layout decision, counter,
+//! RNG draw, noise branch and rank-ordered fold lives in the coordinator's
+//! [`tqsim_cluster::Distributed`] core. The in-process transport calls the
+//! same slice functions, so the two backends are bit-identical by
+//! construction.
 //!
 //! Control arrives as line-delimited JSON on the coordinator socket (FIFO
 //! per worker; the coordinator broadcasts under one lock so every worker
@@ -20,9 +20,10 @@ use crate::proto;
 use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter};
 use std::net::{TcpListener, TcpStream};
-use tqsim_circuit::math::{c64, C64};
+use tqsim_circuit::math::C64;
+use tqsim_cluster::slices::{self, Cursor};
 use tqsim_json::{num, num_u64, obj, Value};
-use tqsim_statevec::kernels;
+use tqsim_statevec::FusedOp;
 
 /// A cached mesh connection to one peer worker.
 struct MeshConn {
@@ -36,6 +37,8 @@ struct Worker {
     peers: Vec<String>,
     mesh: HashMap<usize, MeshConn>,
     slices: HashMap<u64, Vec<C64>>,
+    /// Outgoing exchange buffer, reused so exchanges allocate nothing.
+    out: Vec<C64>,
 }
 
 fn wire_err(context: &str, message: String) -> io::Error {
@@ -101,6 +104,7 @@ pub fn run(coordinator: &str, rank: usize, n_workers: usize) -> io::Result<()> {
         peers,
         mesh: HashMap::new(),
         slices: HashMap::new(),
+        out: Vec::new(),
     };
     loop {
         let msg = match proto::recv_line(&mut control_r) {
@@ -125,18 +129,18 @@ pub fn run(coordinator: &str, rank: usize, n_workers: usize) -> io::Result<()> {
 }
 
 impl Worker {
-    /// Node-local qubit count of a slice (its length is always `2^local_n`).
-    fn local_n(slice: &[C64]) -> u16 {
-        slice.len().trailing_zeros() as u16
+    fn slice(&self, msg: &Value) -> io::Result<&Vec<C64>> {
+        let sid = need_u64(msg, "sid")?;
+        self.slices
+            .get(&sid)
+            .ok_or_else(|| wire_err("shard verb", format!("unknown slice {sid}")))
     }
 
-    fn slice_mut(&mut self, msg: &Value) -> io::Result<(u64, &mut Vec<C64>)> {
+    fn slice_mut(&mut self, msg: &Value) -> io::Result<&mut Vec<C64>> {
         let sid = need_u64(msg, "sid")?;
-        let slice = self
-            .slices
+        self.slices
             .get_mut(&sid)
-            .ok_or_else(|| wire_err("shard verb", format!("unknown slice {sid}")))?;
-        Ok((sid, slice))
+            .ok_or_else(|| wire_err("shard verb", format!("unknown slice {sid}")))
     }
 
     /// Handle one verb; `Some(reply)` is sent back on the control socket.
@@ -146,320 +150,105 @@ impl Worker {
         msg: &Value,
         control_w: &mut BufWriter<TcpStream>,
     ) -> io::Result<Option<Value>> {
+        let rank = self.rank;
         match verb {
             "ping" => Ok(Some(proto::ack())),
             "alloc" => {
                 let sid = need_u64(msg, "sid")?;
                 let len = need_u64(msg, "len")? as usize;
-                let mut slice = vec![c64(0.0, 0.0); len];
-                if self.rank == 0 {
-                    slice[0] = c64(1.0, 0.0);
-                }
-                self.slices.insert(sid, slice);
+                self.slices.insert(sid, slices::zero(len, rank));
                 Ok(Some(proto::ack()))
             }
             "reset" => {
-                let rank = self.rank;
-                let (_, slice) = self.slice_mut(msg)?;
-                slice.fill(c64(0.0, 0.0));
-                if rank == 0 {
-                    slice[0] = c64(1.0, 0.0);
-                }
+                slices::reset(self.slice_mut(msg)?, rank);
                 Ok(None)
             }
             "free" => {
-                let sid = need_u64(msg, "sid")?;
-                self.slices.remove(&sid);
+                self.slices.remove(&need_u64(msg, "sid")?);
                 Ok(None)
             }
-            "copy" => {
+            "copy" | "capply" => {
+                // Parent→child copy, carrying the child's head window for
+                // `capply`: both slices are borrowed in place, so the source
+                // is read exactly once.
+                let window = match verb {
+                    "capply" => need_window(msg)?,
+                    _ => Vec::new(),
+                };
                 let dst = need_u64(msg, "dst")?;
                 let src = need_u64(msg, "src")?;
-                let from = self
-                    .slices
-                    .get(&src)
-                    .ok_or_else(|| wire_err("copy", format!("unknown source {src}")))?
-                    .clone();
-                let to = self
-                    .slices
-                    .get_mut(&dst)
-                    .ok_or_else(|| wire_err("copy", format!("unknown destination {dst}")))?;
-                to.copy_from_slice(&from);
-                Ok(None)
-            }
-            "gate" => {
-                let gate = proto::gate_from_value(
-                    msg.get("g")
-                        .ok_or_else(|| wire_err("gate", "no g".into()))?,
-                )
-                .map_err(|e| wire_err("gate", e))?;
-                let (_, slice) = self.slice_mut(msg)?;
-                kernels::apply_gate_amps(slice, &gate);
-                Ok(None)
-            }
-            "mat2" => {
-                let q = need_u64(msg, "q")? as usize;
-                let m = proto::mat2_from_value(
-                    msg.get("m")
-                        .ok_or_else(|| wire_err("mat2", "no m".into()))?,
-                )
-                .map_err(|e| wire_err("mat2", e))?;
-                let (_, slice) = self.slice_mut(msg)?;
-                kernels::apply_mat2(slice, q, &m);
-                Ok(None)
-            }
-            "mat4" => {
-                let hi = need_u64(msg, "hi")? as usize;
-                let lo = need_u64(msg, "lo")? as usize;
-                let m = proto::mat4_from_value(
-                    msg.get("m")
-                        .ok_or_else(|| wire_err("mat4", "no m".into()))?,
-                )
-                .map_err(|e| wire_err("mat4", e))?;
-                let (_, slice) = self.slice_mut(msg)?;
-                kernels::apply_mat4(slice, hi, lo, &m);
-                Ok(None)
-            }
-            "mat8" => {
-                let q2 = need_u64(msg, "q2")? as usize;
-                let q1 = need_u64(msg, "q1")? as usize;
-                let q0 = need_u64(msg, "q0")? as usize;
-                let m = proto::mat8_from_value(
-                    msg.get("m")
-                        .ok_or_else(|| wire_err("mat8", "no m".into()))?,
-                )
-                .map_err(|e| wire_err("mat8", e))?;
-                let (_, slice) = self.slice_mut(msg)?;
-                kernels::apply_mat8(slice, q2, q1, q0, &m);
-                Ok(None)
-            }
-            "mat16" => {
-                let qs = Self::need_qubits::<4>(msg)?;
-                let m = proto::mat16_from_value(
-                    msg.get("m")
-                        .ok_or_else(|| wire_err("mat16", "no m".into()))?,
-                )
-                .map_err(|e| wire_err("mat16", e))?;
-                let (_, slice) = self.slice_mut(msg)?;
-                kernels::apply_mat16(slice, qs.map(|q| q as usize), &m);
-                Ok(None)
-            }
-            "mat32" => {
-                let qs = Self::need_qubits::<5>(msg)?;
-                let m = proto::mat32_from_value(
-                    msg.get("m")
-                        .ok_or_else(|| wire_err("mat32", "no m".into()))?,
-                )
-                .map_err(|e| wire_err("mat32", e))?;
-                let (_, slice) = self.slice_mut(msg)?;
-                kernels::apply_mat32(slice, qs.map(|q| q as usize), &m);
-                Ok(None)
-            }
-            "wapply" => {
-                // Apply a fused window to this node's slice in place —
-                // the cross-boundary tail for ranks the sampling walk
-                // never reached.
-                let window = Self::need_window(msg)?;
-                let rank = self.rank;
-                let (_, slice) = self.slice_mut(msg)?;
-                let base = rank << Self::local_n(slice);
-                tqsim_statevec::apply_window_amps(slice, base, &window);
-                Ok(None)
-            }
-            "capply" => {
-                // Copy-and-apply: overwrite dst with src and run the child
-                // plan's head window in the same visit — the parent→child
-                // copy that starts replay one pass ahead.
-                let window = Self::need_window(msg)?;
-                let dst = need_u64(msg, "dst")?;
-                let src = need_u64(msg, "src")?;
-                let from = self
-                    .slices
-                    .get(&src)
-                    .ok_or_else(|| wire_err("capply", format!("unknown source {src}")))?
-                    .clone();
-                let rank = self.rank;
-                let to = self
-                    .slices
-                    .get_mut(&dst)
-                    .ok_or_else(|| wire_err("capply", format!("unknown destination {dst}")))?;
-                to.copy_from_slice(&from);
-                let base = rank << Self::local_n(to);
-                tqsim_statevec::apply_window_amps(to, base, &window);
-                Ok(None)
-            }
-            "fwalk" => {
-                // Fused sampling chain link: apply the trailing window to
-                // this slice, then resolve draws exactly like "walk" — the
-                // |ψ|² read happens in the same visit that finished the
-                // state.
-                let window = Self::need_window(msg)?;
-                let rank = self.rank;
-                {
-                    let (_, slice) = self.slice_mut(msg)?;
-                    let base = rank << Self::local_n(slice);
-                    tqsim_statevec::apply_window_amps(slice, base, &window);
+                if dst == src {
+                    return Err(wire_err(verb, format!("slice {dst} copied onto itself")));
                 }
-                self.walk_reply(msg)
-            }
-            "diagrun" => {
-                let run = proto::diag_run_from_value(msg).map_err(|e| wire_err("diagrun", e))?;
-                let rank = self.rank;
-                let (_, slice) = self.slice_mut(msg)?;
-                let base = rank << Self::local_n(slice);
-                run.apply_offset(slice, base);
+                let [Some(to), Some(from)] = self.slices.get_disjoint_mut([&dst, &src]) else {
+                    return Err(wire_err(verb, format!("unknown slice {dst} or {src}")));
+                };
+                slices::copy_apply(to, from, rank, &window);
                 Ok(None)
             }
-            "diag1" => {
-                let q = need_u64(msg, "q")? as usize;
-                let d = proto::c64s_from_value(
-                    msg.get("d")
-                        .ok_or_else(|| wire_err("diag1", "no d".into()))?,
-                    2,
-                )
-                .map_err(|e| wire_err("diag1", e))?;
-                let (_, slice) = self.slice_mut(msg)?;
-                kernels::apply_diag1(slice, q, d[0], d[1]);
-                Ok(None)
-            }
-            "scale_bit" => {
-                // Global diag1: multiply the whole slice by d0 or d1
-                // depending on this node's bit in the mask.
-                let mask = need_u64(msg, "mask")? as usize;
-                let d = proto::c64s_from_value(
-                    msg.get("d")
-                        .ok_or_else(|| wire_err("scale_bit", "no d".into()))?,
-                    2,
-                )
-                .map_err(|e| wire_err("scale_bit", e))?;
-                let rank = self.rank;
-                let (_, slice) = self.slice_mut(msg)?;
-                let dd = if rank & mask != 0 { d[1] } else { d[0] };
-                for a in slice.iter_mut() {
-                    *a *= dd;
-                }
+            "apply" => {
+                let window = need_window(msg)?;
+                slices::apply(self.slice_mut(msg)?, rank, &window);
                 Ok(None)
             }
             "antidiag" => {
-                let q = need_u64(msg, "q")? as usize;
-                let a = proto::c64s_from_value(
-                    msg.get("a")
-                        .ok_or_else(|| wire_err("antidiag", "no a".into()))?,
-                    2,
-                )
-                .map_err(|e| wire_err("antidiag", e))?;
-                let (_, slice) = self.slice_mut(msg)?;
-                kernels::apply_antidiag1(slice, q, a[0], a[1]);
+                let q = need_qubit(msg, "q")?;
+                let a = need_pair(msg, "a")?;
+                slices::antidiag(self.slice_mut(msg)?, q, a[0], a[1]);
                 Ok(None)
-            }
-            "antidiag_g" => {
-                let step = need_u64(msg, "step")? as usize;
-                let a = proto::c64s_from_value(
-                    msg.get("a")
-                        .ok_or_else(|| wire_err("antidiag_g", "no a".into()))?,
-                    2,
-                )
-                .map_err(|e| wire_err("antidiag_g", e))?;
-                self.antidiag_global(msg, step, a[0], a[1])?;
-                Ok(Some(proto::ack()))
-            }
-            "dswap" => {
-                let gb = need_u64(msg, "gb")? as u16;
-                let lq = need_u64(msg, "lq")? as u16;
-                self.dswap(msg, gb, lq)?;
-                Ok(Some(proto::ack()))
             }
             "scale" => {
                 let s = need_f64(msg, "s")?;
-                let (_, slice) = self.slice_mut(msg)?;
-                for amp in slice.iter_mut() {
-                    *amp *= s;
-                }
+                slices::scale(self.slice_mut(msg)?, s);
                 Ok(None)
             }
-            "psum" => {
-                let (_, slice) = self.slice_mut(msg)?;
-                let sum: f64 = slice.iter().map(|a| a.norm_sqr()).sum();
-                Ok(Some(obj(vec![("x", num(sum))])))
+            "dswap" => {
+                let gb = need_qubit(msg, "gb")?;
+                let lq = need_qubit(msg, "lq")?;
+                self.dswap(msg, gb, lq)?;
+                Ok(Some(proto::ack()))
             }
+            "antidiag_g" => {
+                let gb = need_qubit(msg, "gb")?;
+                let a = need_pair(msg, "a")?;
+                self.antidiag_global(msg, gb, a[0], a[1])?;
+                Ok(Some(proto::ack()))
+            }
+            "psum" => Ok(Some(reply_x(slices::psum(self.slice(msg)?)))),
             "msum" => {
-                // Local-marginal chain link: continue the coordinator's
-                // single flat accumulator over this slice's filtered
-                // amplitudes — the exact addition sequence of the
-                // in-process backend's one-pass sum.
-                let q = need_u64(msg, "q")? as usize;
-                let mut acc = need_f64(msg, "acc")?;
-                let (_, slice) = self.slice_mut(msg)?;
-                let mask = 1usize << q;
-                for (i, amp) in slice.iter().enumerate() {
-                    if i & mask != 0 {
-                        acc += amp.norm_sqr();
-                    }
-                }
-                Ok(Some(obj(vec![("x", num(acc))])))
+                let q = need_qubit(msg, "q")?;
+                let acc = need_f64(msg, "acc")?;
+                Ok(Some(reply_x(slices::msum(self.slice(msg)?, q, acc))))
             }
             "pick" => {
-                // Single-draw CDF chain link (see the coordinator's
-                // `sample_with`): either a hit inside this slice or the
-                // accumulator to hand to the next node.
                 let u = need_f64(msg, "u")?;
-                let mut acc = need_f64(msg, "acc")?;
-                let rank = self.rank;
-                let (_, slice) = self.slice_mut(msg)?;
-                let base = (rank as u64) << Self::local_n(slice);
-                for (i, amp) in slice.iter().enumerate() {
-                    acc += amp.norm_sqr();
-                    if u < acc {
-                        return Ok(Some(obj(vec![("hit", num_u64(base | i as u64))])));
-                    }
-                }
-                Ok(Some(obj(vec![("x", num(acc))])))
+                let acc = need_f64(msg, "acc")?;
+                Ok(Some(match slices::pick(self.slice(msg)?, rank, u, acc) {
+                    Ok(hit) => obj(vec![("hit", num_u64(hit))]),
+                    Err(acc) => reply_x(acc),
+                }))
             }
-            "walk" => self.walk_reply(msg),
+            "walk" => self.walk(msg),
+            "fwalk" => {
+                // Fused sampling link: finish the state with the trailing
+                // window, then read |ψ|² in the same visit.
+                let window = need_window(msg)?;
+                slices::apply(self.slice_mut(msg)?, rank, &window);
+                self.walk(msg)
+            }
             "fetch" => {
-                let (_, slice) = self.slice_mut(msg)?;
-                let len = slice.len();
-                let amps = slice.clone();
-                proto::send_line(control_w, &obj(vec![("len", num_u64(len as u64))]))?;
-                proto::write_amps(control_w, &amps)?;
+                let slice = self.slice(msg)?;
+                proto::send_line(control_w, &obj(vec![("len", num_u64(slice.len() as u64))]))?;
+                proto::write_amps(control_w, slice)?;
                 Ok(None)
             }
             other => Err(wire_err("shard verb", format!("unknown verb {other:?}"))),
         }
     }
 
-    /// Decode a fixed-width qubit list from the verb's `"qs"` field.
-    fn need_qubits<const W: usize>(msg: &Value) -> io::Result<[u16; W]> {
-        let arr = msg
-            .get("qs")
-            .and_then(Value::as_arr)
-            .ok_or_else(|| wire_err("shard verb", "missing qs".into()))?;
-        if arr.len() != W {
-            return Err(wire_err("shard verb", format!("expected {W} qubits")));
-        }
-        let mut qs = [0u16; W];
-        for (dst, v) in qs.iter_mut().zip(arr) {
-            *dst = v
-                .as_u64()
-                .and_then(|q| u16::try_from(q).ok())
-                .ok_or_else(|| wire_err("shard verb", "bad qubit".into()))?;
-        }
-        Ok(qs)
-    }
-
-    /// Decode the fused window from the verb's `"w"` field.
-    fn need_window(msg: &Value) -> io::Result<Vec<tqsim_statevec::FusedOp>> {
-        proto::window_from_value(
-            msg.get("w")
-                .ok_or_else(|| wire_err("shard verb", "missing w".into()))?,
-        )
-        .map_err(|e| wire_err("window", e))
-    }
-
-    /// Batched sorted-CDF chain link (see the coordinator's `sample_many`):
-    /// resolve as many sorted draws as land in this slice, then hand
-    /// (idx, acc) to the next node. Shared by "walk" and "fwalk".
-    fn walk_reply(&mut self, msg: &Value) -> io::Result<Option<Value>> {
+    /// Batched sorted-CDF chain link: resolve the draws that land in this
+    /// slice and hand the cursor on. Shared by "walk" and "fwalk".
+    fn walk(&self, msg: &Value) -> io::Result<Option<Value>> {
         let us: Vec<f64> = msg
             .get("us")
             .and_then(Value::as_arr)
@@ -467,33 +256,19 @@ impl Worker {
             .iter()
             .map(|v| v.as_f64().ok_or_else(|| wire_err("walk", "bad u".into())))
             .collect::<io::Result<_>>()?;
-        let mut idx = need_u64(msg, "idx")? as usize;
-        let mut acc = need_f64(msg, "acc")?;
-        let total = need_u64(msg, "total")? as usize;
-        let init = msg.get("init").and_then(Value::as_bool).unwrap_or(false);
-        let rank = self.rank;
-        let (_, slice) = self.slice_mut(msg)?;
-        let base = rank << Self::local_n(slice);
-        if init {
-            idx = 0;
-            acc = slice[0].norm_sqr();
-        }
-        let mut out = Vec::new();
-        for &u in &us {
-            while u >= acc && idx + 1 < total && idx + 1 < base + slice.len() {
-                idx += 1;
-                acc += slice[idx - base].norm_sqr();
-            }
-            if u < acc || idx + 1 >= total {
-                out.push(num_u64(idx as u64));
-            } else {
-                break;
-            }
-        }
+        let at = match msg.get("idx") {
+            Some(_) => Some(Cursor {
+                idx: need_u64(msg, "idx")?,
+                acc: need_f64(msg, "acc")?,
+            }),
+            None => None,
+        };
+        let total = need_u64(msg, "total")?;
+        let (out, cursor) = slices::walk(self.slice(msg)?, self.rank, &us, at, total);
         Ok(Some(obj(vec![
-            ("out", Value::Arr(out)),
-            ("idx", num_u64(idx as u64)),
-            ("acc", num(acc)),
+            ("out", Value::Arr(out.into_iter().map(num_u64).collect())),
+            ("idx", num_u64(cursor.idx)),
+            ("acc", num(cursor.acc)),
         ])))
     }
 
@@ -538,78 +313,94 @@ impl Worker {
         Ok(self.mesh.get_mut(&peer).expect("just inserted"))
     }
 
-    /// One distributed swap: exchange this node's half-slice with its
-    /// partner's, mirroring the in-process `exchange_halves` exactly — the
-    /// lower node's `lq`-bit=1 half swaps with the higher node's bit=0
-    /// half, walked in the same index order on both ends.
-    fn dswap(&mut self, msg: &Value, gb: u16, lq: u16) -> io::Result<()> {
+    /// Send `out` to the partner across node bit `gb` and read its frame
+    /// of the same length straight into `dst`. The lower rank sends
+    /// first, the higher receives first, so a pair can never deadlock.
+    fn trade<'a>(
+        &mut self,
+        gb: u16,
+        out: &[C64],
+        dst: impl IntoIterator<Item = &'a mut C64>,
+    ) -> io::Result<()> {
         let partner = self.rank ^ (1usize << gb);
-        let sl = 1usize << lq;
-        let (sid, slice) = self.slice_mut(msg)?;
-        let mut slice = std::mem::take(slice);
-        // Lower node trades the bit-set half; higher node the bit-clear.
-        let send_set = self.rank < partner;
-        let offset = if send_set { sl } else { 0 };
-        let mut half = Vec::with_capacity(slice.len() / 2);
-        let mut base = 0;
-        while base < slice.len() {
-            half.extend_from_slice(&slice[base + offset..base + offset + sl]);
-            base += sl * 2;
+        let lower = self.rank < partner;
+        let conn = self.mesh_with(partner)?;
+        if lower {
+            proto::write_amps(&mut conn.writer, out)?;
+            proto::read_amps_into(&mut conn.reader, out.len(), dst)
+        } else {
+            proto::read_amps_into(&mut conn.reader, out.len(), dst)?;
+            proto::write_amps(&mut conn.writer, out)
         }
-        let outcome = (|| {
-            let conn = self.mesh_with(partner)?;
-            let incoming = if send_set {
-                proto::write_amps(&mut conn.writer, &half)?;
-                proto::read_amps(&mut conn.reader)?
-            } else {
-                let incoming = proto::read_amps(&mut conn.reader)?;
-                proto::write_amps(&mut conn.writer, &half)?;
-                incoming
-            };
-            if incoming.len() != half.len() {
-                return Err(wire_err("dswap", "half-slice length mismatch".into()));
-            }
-            let mut base = 0;
-            let mut taken = 0;
-            while base < slice.len() {
-                slice[base + offset..base + offset + sl]
-                    .copy_from_slice(&incoming[taken..taken + sl]);
-                base += sl * 2;
-                taken += sl;
-            }
-            Ok(())
-        })();
-        self.slices.insert(sid, slice);
+    }
+
+    /// Run `exchange` on the slice `msg` names and the reusable outgoing
+    /// buffer, both taken out of `self` for the duration (so the mesh can
+    /// be borrowed), and put them back whatever the outcome.
+    fn with_slice(
+        &mut self,
+        msg: &Value,
+        exchange: impl FnOnce(&mut Self, &mut Vec<C64>, &mut Vec<C64>) -> io::Result<()>,
+    ) -> io::Result<()> {
+        let mut slice = std::mem::take(self.slice_mut(msg)?);
+        let mut out = std::mem::take(&mut self.out);
+        out.clear();
+        let outcome = exchange(self, &mut slice, &mut out);
+        self.out = out;
+        *self.slice_mut(msg)? = slice;
         outcome
     }
 
-    /// One global antidiagonal combine: swap full slices with the partner
-    /// and apply `lo' = a01·hi`, `hi' = a10·lo`.
-    fn antidiag_global(&mut self, msg: &Value, step: usize, a01: C64, a10: C64) -> io::Result<()> {
-        let partner = self.rank ^ step;
-        let is_lo = self.rank < partner;
-        let (sid, slice) = self.slice_mut(msg)?;
-        let mut slice = std::mem::take(slice);
-        let outcome = (|| {
-            let conn = self.mesh_with(partner)?;
-            let incoming = if is_lo {
-                proto::write_amps(&mut conn.writer, &slice)?;
-                proto::read_amps(&mut conn.reader)?
-            } else {
-                let incoming = proto::read_amps(&mut conn.reader)?;
-                proto::write_amps(&mut conn.writer, &slice)?;
-                incoming
-            };
-            if incoming.len() != slice.len() {
-                return Err(wire_err("antidiag_g", "slice length mismatch".into()));
-            }
-            let d = if is_lo { a01 } else { a10 };
-            for (mine, theirs) in slice.iter_mut().zip(incoming.iter()) {
-                *mine = d * *theirs;
-            }
-            Ok(())
-        })();
-        self.slices.insert(sid, slice);
-        outcome
+    /// One distributed swap: trade this node's [`slices::half`] with the
+    /// partner's, in the index order the in-process swap uses.
+    fn dswap(&mut self, msg: &Value, gb: u16, lq: u16) -> io::Result<()> {
+        let upper = self.rank & (1usize << gb) == 0;
+        self.with_slice(msg, |worker, slice, out| {
+            slices::half(slice, lq, upper).for_each(|run| out.extend_from_slice(run));
+            worker.trade(gb, out, slices::half(slice, lq, upper).flatten())
+        })
     }
+
+    /// One global antidiagonal combine: trade whole slices with the
+    /// partner, then multiply the arrived amplitudes by `a01` on the lower
+    /// rank and `a10` on the higher.
+    fn antidiag_global(&mut self, msg: &Value, gb: u16, a01: C64, a10: C64) -> io::Result<()> {
+        let d = if self.rank & (1usize << gb) == 0 {
+            a01
+        } else {
+            a10
+        };
+        self.with_slice(msg, |worker, slice, out| {
+            out.extend_from_slice(slice);
+            worker.trade(gb, out, slice.iter_mut())?;
+            slices::times(slice, d);
+            Ok(())
+        })
+    }
+}
+
+fn reply_x(x: f64) -> Value {
+    obj(vec![("x", num(x))])
+}
+
+fn need_qubit(v: &Value, key: &str) -> io::Result<u16> {
+    u16::try_from(need_u64(v, key)?)
+        .map_err(|_| wire_err("shard verb", format!("{key:?} out of range")))
+}
+
+/// Decode a `[re, im, re, im]` complex pair.
+fn need_pair(v: &Value, key: &str) -> io::Result<Vec<C64>> {
+    let cells = v
+        .get(key)
+        .ok_or_else(|| wire_err("shard verb", format!("missing {key:?}")))?;
+    proto::c64s_from_value(cells, 2).map_err(|e| wire_err("shard verb", e))
+}
+
+/// Decode the fused window from the verb's `"w"` field.
+fn need_window(msg: &Value) -> io::Result<Vec<FusedOp>> {
+    proto::window_from_value(
+        msg.get("w")
+            .ok_or_else(|| wire_err("shard verb", "missing w".into()))?,
+    )
+    .map_err(|e| wire_err("window", e))
 }

@@ -84,9 +84,10 @@ impl FusionConfig {
         self.max_fuse_qubits >= 3
     }
 
-    /// The effective cluster-width ceiling (2..=5).
+    /// The effective cluster-width ceiling (2..=5): the widest dense op a
+    /// plan compiled with this configuration may contain.
     #[inline]
-    fn width(&self) -> usize {
+    pub fn width(&self) -> usize {
         usize::from(self.max_fuse_qubits.clamp(2, 5))
     }
 }

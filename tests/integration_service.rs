@@ -11,7 +11,9 @@ use tqsim::{Counts, RunResult, Strategy as PlanStrategy};
 use tqsim_circuit::{generators, Circuit, Gate, GateKind};
 use tqsim_engine::{Engine, EngineConfig, JobSpec};
 use tqsim_noise::NoiseModel;
-use tqsim_service::{json, wire, BackendPolicy, JobRequest, Service, ServiceConfig, Ticket};
+use tqsim_service::{
+    json, wire, BackendPolicy, FusionConfig, JobRequest, Service, ServiceConfig, Ticket,
+};
 
 /// Random gates over the wire-transportable catalogue.
 fn arb_gate(n: u16) -> impl Strategy<Value = Gate> {
@@ -466,6 +468,66 @@ fn service_routes_over_threshold_jobs_to_the_cluster_backend() {
     assert_eq!(stats.cluster_jobs, 1, "wide job routed to the cluster");
     assert_eq!(stats.single_node_jobs, 1, "narrow job stayed single-node");
     routed.shutdown();
+}
+
+#[test]
+fn cluster_placement_keeps_wide_fusion_windows_off_too_narrow_node_slices() {
+    // QFT-6 fused into 5-qubit clusters over 4 nodes leaves 4 node-local
+    // qubits — one too few for a 5-qubit cluster. Placement must keep the
+    // job single-node up front (not place it on the cluster, fail there
+    // and degrade), with Counts equal to the single-node reference.
+    let circuit = Arc::new(generators::qft(6));
+    let request = || {
+        JobRequest::new(Arc::clone(&circuit))
+            .shots(16)
+            .strategy(PlanStrategy::Custom {
+                arities: vec![2, 2],
+            })
+            .seed(9)
+            .fusion_config(FusionConfig {
+                max_fuse_qubits: 5,
+                boundary: true,
+            })
+    };
+    let single = Service::start(
+        ServiceConfig::default()
+            .parallelism(1)
+            .max_concurrent_jobs(1),
+    );
+    let reference = single.submit("ref", request()).unwrap().wait().unwrap();
+    single.shutdown();
+
+    let routed = Service::start(
+        ServiceConfig::default()
+            .parallelism(1)
+            .max_concurrent_jobs(1)
+            .backend_policy(BackendPolicy::cluster_above(6, 4)),
+    );
+    let result = routed.submit("w", request()).unwrap().wait().unwrap();
+    assert_eq!(result.counts, reference.counts);
+    let stats = routed.stats();
+    assert_eq!(stats.single_node_jobs, 1, "placed single-node up front");
+    assert_eq!(stats.cluster_jobs, 0);
+    assert_eq!(stats.degraded, 0, "nothing ran on the cluster to degrade");
+    routed.shutdown();
+
+    // Capped below the job's width, no engine can take it: refused at
+    // placement, still without touching the cluster.
+    let capped = Service::start(
+        ServiceConfig::default()
+            .parallelism(1)
+            .max_concurrent_jobs(1)
+            .backend_policy(BackendPolicy::cluster_above(6, 4).single_node_up_to(5)),
+    );
+    let err = capped
+        .submit("w", request())
+        .unwrap()
+        .wait()
+        .expect_err("no feasible placement");
+    assert_eq!(err.code(), "backend_unavailable");
+    let stats = capped.stats();
+    assert_eq!((stats.cluster_jobs, stats.degraded), (0, 0));
+    capped.shutdown();
 }
 
 // ------------------------------------------------ wire hygiene + retention
